@@ -2,16 +2,18 @@
 
 Used by the test suite, the throughput benchmark, and as the
 reference for how to talk to ``ppchecker serve`` from Python.  One
-:class:`ServiceClient` is safe to share across threads: every call
-opens its own :class:`http.client.HTTPConnection`.
+:class:`ServiceClient` is safe to share across threads: calls reuse
+keep-alive connections from a
+:class:`~repro.service.transport.ConnectionPool`, one connection per
+concurrent call.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from http.client import HTTPConnection
 from typing import Any
+
+from repro.service.transport import ConnectionPool
 
 
 class ServiceError(RuntimeError):
@@ -68,6 +70,7 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._pool = ConnectionPool(timeout)
 
     # -- transport ---------------------------------------------------------
 
@@ -75,26 +78,12 @@ class ServiceClient:
                 ) -> tuple[int, dict[str, str], Any]:
         """One round-trip; returns ``(status, headers, payload)``
         with the payload JSON-decoded when the response is JSON."""
-        conn = HTTPConnection(self.host, self.port,
-                              timeout=self.timeout)
-        try:
-            body = None
-            headers = {}
-            if doc is not None:
-                body = json.dumps(doc).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            response_headers = dict(response.getheaders())
-            content_type = response_headers.get("Content-Type", "")
-            if content_type.startswith("application/json"):
-                payload = json.loads(raw) if raw else None
-            else:
-                payload = raw.decode("utf-8", "replace")
-            return response.status, response_headers, payload
-        finally:
-            conn.close()
+        return self._pool.request(self.host, self.port, method, path,
+                                  doc)
+
+    def close(self) -> None:
+        """Close the idle kept connections (the client stays usable)."""
+        self._pool.close()
 
     def _raise_for(self, status: int, headers: dict[str, str],
                    payload: Any) -> None:

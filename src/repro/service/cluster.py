@@ -28,7 +28,6 @@ process is a hit in all.
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import re
@@ -39,8 +38,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from http.client import HTTPConnection, HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.client import HTTPException
 from typing import Any
 
 from repro import __version__
@@ -59,8 +57,13 @@ from repro.service.server import (
     parse_deadline_seconds,
     read_port_file,
 )
+from repro.service.transport import (
+    JOB_PATH,
+    ConnectionPool,
+    JSONHandler,
+    KeepAliveHTTPServer,
+)
 
-_JOB_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)$")
 _SHARD_ID = re.compile(r"^s(\d+)-(.+)$")
 
 
@@ -430,72 +433,12 @@ def _routing_key(doc: Any) -> str:
     return fingerprint(doc)
 
 
-class _FrontHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _FrontHandler(JSONHandler):
     server_version = f"ppchecker-front/{__version__}"
-
-    def version_string(self) -> str:
-        return self.server_version
-
-    # -- plumbing ----------------------------------------------------------
 
     @property
     def front(self) -> "ClusterFront":
-        return self.server.front  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass
-
-    def _endpoint(self) -> str:
-        path = self.path.split("?", 1)[0]
-        if _JOB_PATH.match(path):
-            return "/v1/jobs/{id}"
-        if path in ("/healthz", "/metrics", "/v1/check", "/v1/jobs",
-                    "/v1/batch", "/v1/deadletter"):
-            return path
-        return "other"
-
-    def _send_json(self, status: int, payload: dict,
-                   headers: dict[str, str] | None = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.front.metrics.requests.inc(
-            endpoint=self._endpoint(), status=str(status))
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, kind: str, message: str,
-                         headers: dict[str, str] | None = None,
-                         **extra: Any) -> None:
-        self._send_json(status, versioned(
-            {"error": {"kind": kind, "message": message, **extra}}
-        ), headers)
-
-    def _read_json(self) -> Any:
-        length = self.headers.get("Content-Length")
-        if length is None:
-            self._send_error_json(411, "length_required",
-                                  "Content-Length is required")
-            return None
-        length = int(length)
-        if length > self.front.config.max_body_bytes:
-            self.close_connection = True
-            self._send_error_json(
-                413, "too_large",
-                f"body exceeds "
-                f"{self.front.config.max_body_bytes} bytes")
-            return None
-        body = self.rfile.read(length)
-        try:
-            return json.loads(body)
-        except ValueError:
-            self._send_error_json(400, "bad_request",
-                                  "request body is not valid JSON")
-            return None
+        return self.app
 
     def _unavailable(self) -> None:
         self._send_error_json(
@@ -511,21 +454,13 @@ class _FrontHandler(BaseHTTPRequestHandler):
             self._send_json(200, self.front.healthz())
             return
         if path == "/metrics":
-            body = self.front.metrics.render().encode()
-            self.front.metrics.requests.inc(
-                endpoint="/metrics", status="200")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type",
-                "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, self.front.metrics.render().encode(),
+                       "text/plain; version=0.0.4; charset=utf-8")
             return
         if path == "/v1/deadletter":
             self._send_json(200, self.front.deadletters())
             return
-        match = _JOB_PATH.match(path)
+        match = JOB_PATH.match(path)
         if match:
             self._job_status(match.group(1))
             return
@@ -648,6 +583,9 @@ class ClusterFront:
         self.supervisor = supervisor
         self.metrics = metrics
         self._draining = threading.Event()
+        #: kept connections to the shards, shared by every handler
+        #: and hedge thread
+        self.pool = ConnectionPool(config.request_timeout)
         #: one breaker per shard, fed from every proxied request;
         #: open breakers divert traffic to the next ring owner
         self.breakers = {
@@ -740,32 +678,14 @@ class ClusterFront:
                  ) -> tuple[int, dict[str, str], Any]:
         if shard.port is None:
             raise ConnectionError(f"{shard.name} has no port yet")
-        conn = HTTPConnection(self.config.host, shard.port,
-                              timeout=self.config.request_timeout)
-        try:
-            body = None
-            headers = {}
-            if doc is not None:
-                body = json.dumps(doc).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            if deadline is not None:
-                # forward what is *left* of the budget, so time spent
-                # routing at the front is not granted twice
-                headers[DEADLINE_HEADER] = (
-                    f"{max(deadline.remaining(), 0.001):.6f}")
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            response_headers = dict(response.getheaders())
-            content_type = response_headers.get("Content-Type", "")
-            payload: Any
-            if content_type.startswith("application/json"):
-                payload = json.loads(raw) if raw else None
-            else:
-                payload = raw.decode("utf-8", "replace")
-            return response.status, response_headers, payload
-        finally:
-            conn.close()
+        headers = {}
+        if deadline is not None:
+            # forward what is *left* of the budget, so time spent
+            # routing at the front is not granted twice
+            headers[DEADLINE_HEADER] = (
+                f"{max(deadline.remaining(), 0.001):.6f}")
+        return self.pool.request(self.config.host, shard.port, method,
+                                 path, doc, headers)
 
     def _pick_shard(self, key: str) -> ShardProcess | None:
         """The first live shard in *key*'s failover order whose
@@ -1016,22 +936,12 @@ class ClusterFront:
         })
 
 
-class _FrontHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: tuple[str, int],
-                 front: ClusterFront) -> None:
-        super().__init__(address, _FrontHandler)
-        self.front = front
-
-
 class ClusterHandle:
     """A running cluster (tests, benchmarks, serve_cluster)."""
 
     def __init__(self, front: ClusterFront,
                  supervisor: ShardSupervisor,
-                 httpd: _FrontHTTPServer,
+                 httpd: KeepAliveHTTPServer,
                  thread: threading.Thread) -> None:
         self.front = front
         self.supervisor = supervisor
@@ -1054,6 +964,7 @@ class ClusterHandle:
         self.httpd.shutdown()
         self.httpd.server_close()
         self.thread.join(5.0)
+        self.front.pool.close()
 
 
 def start_cluster(config: ClusterConfig) -> ClusterHandle:
@@ -1071,7 +982,8 @@ def start_cluster(config: ClusterConfig) -> ClusterHandle:
     cell.append(supervisor)
     front = ClusterFront(config, supervisor, metrics)
     supervisor.start()
-    httpd = _FrontHTTPServer((config.host, config.port), front)
+    httpd = KeepAliveHTTPServer((config.host, config.port),
+                                _FrontHandler, front)
     if config.port_file is not None:
         _write_port_file(config.port_file, httpd.server_address[1])
     thread = threading.Thread(

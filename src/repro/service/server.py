@@ -23,14 +23,11 @@ stdlib (:mod:`http.server`), no new dependencies.
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import signal
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro import __version__
@@ -49,8 +46,11 @@ from repro.service.runner import (
     WorkerPool,
     shed_error,
 )
-
-_JOB_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)$")
+from repro.service.transport import (
+    JOB_PATH,
+    JSONHandler,
+    KeepAliveHTTPServer,
+)
 
 #: request-level deadline intake: relative seconds, as an HTTP header
 #: or a reserved top-level key in the bundle document.  The field is
@@ -311,89 +311,12 @@ class CheckService:
         return drained
 
 
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: tuple[str, int],
-                 service: CheckService) -> None:
-        super().__init__(address, _Handler)
-        self.service = service
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _Handler(JSONHandler):
     server_version = f"ppchecker/{__version__}"
-
-    def version_string(self) -> str:
-        return self.server_version  # no sys_version leak
-
-    # -- plumbing ----------------------------------------------------------
 
     @property
     def service(self) -> CheckService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass  # /metrics is the observability surface, not stderr
-
-    def _endpoint(self) -> str:
-        path = self.path.split("?", 1)[0]
-        if _JOB_PATH.match(path):
-            return "/v1/jobs/{id}"
-        if path in ("/healthz", "/metrics", "/v1/check", "/v1/jobs",
-                    "/v1/batch", "/v1/deadletter"):
-            return path
-        return "other"
-
-    def _count(self, status: int) -> None:
-        self.service.metrics.requests.inc(
-            endpoint=self._endpoint(), status=str(status))
-
-    def _send(self, status: int, body: bytes, content_type: str,
-              headers: dict[str, str] | None = None) -> None:
-        self._count(status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: dict,
-                   headers: dict[str, str] | None = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(status, body, "application/json", headers)
-
-    def _send_error_json(self, status: int, kind: str, message: str,
-                         headers: dict[str, str] | None = None,
-                         **extra: Any) -> None:
-        self._send_json(status, versioned(
-            {"error": {"kind": kind, "message": message, **extra}}
-        ), headers)
-
-    def _read_json(self) -> Any:
-        length = self.headers.get("Content-Length")
-        if length is None:
-            self._send_error_json(411, "length_required",
-                                  "Content-Length is required")
-            return None
-        length = int(length)
-        if length > self.service.config.max_body_bytes:
-            self.close_connection = True
-            self._send_error_json(
-                413, "too_large",
-                f"body exceeds "
-                f"{self.service.config.max_body_bytes} bytes")
-            return None
-        body = self.rfile.read(length)
-        try:
-            return json.loads(body)
-        except ValueError:
-            self._send_error_json(400, "bad_request",
-                                  "request body is not valid JSON")
-            return None
+        return self.app
 
     # -- submission helpers ------------------------------------------------
 
@@ -471,7 +394,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "count": len(docs),
             }))
             return
-        match = _JOB_PATH.match(path)
+        match = JOB_PATH.match(path)
         if match:
             job_id = match.group(1)
             job = self.service.job(job_id)
@@ -634,7 +557,7 @@ class ServiceHandle:
     """A running service + HTTP listener (tests, benchmarks, serve)."""
 
     def __init__(self, service: CheckService,
-                 httpd: _ServiceHTTPServer,
+                 httpd: KeepAliveHTTPServer,
                  thread: threading.Thread) -> None:
         self.service = service
         self.httpd = httpd
@@ -698,7 +621,8 @@ def start_service(config: ServiceConfig) -> ServiceHandle:
     ``config.port=0`` binds an ephemeral port (see ``handle.port``,
     or set ``config.port_file`` to have it published to disk)."""
     service = CheckService(config)
-    httpd = _ServiceHTTPServer((config.host, config.port), service)
+    httpd = KeepAliveHTTPServer((config.host, config.port), _Handler,
+                                service)
     if config.port_file is not None:
         _write_port_file(config.port_file,
                          httpd.server_address[1])
