@@ -21,29 +21,32 @@ Subcommands::
         replays the finished ones and checks only the rest.
 
     python -m repro.cli study [--apps N] [--seed S] [--json PATH]
-            [--workers N] [--cache-dir PATH] [--store json|sqlite]
-            [--max-retries N] [--stage-timeout SECONDS]
+            [--html PATH] [--workers N] [--cache-dir PATH]
+            [--store json|sqlite] [--max-retries N]
+            [--stage-timeout SECONDS] [--deadline SECONDS]
+            [--retry-budget TOKENS] [--retry-budget-refill PER_SECOND]
             [--keep-going | --no-keep-going]
             [--journal PATH] [--resume]
-            [--limit N] [--streaming] [--out DIR] [--out-shards N]
-            [--shards N] [--window N]
+            [--limit N] [--out DIR] [--out-shards N] [--shards N]
         Run the full market study over the synthetic corpus and print
-        the paper's tables.  --journal / --resume give the study
-        crash-safe per-app checkpoints: a killed run restarted with
-        --resume reproduces the uninterrupted run's report exactly.
-        --streaming derives each app lazily and folds outcomes into
-        constant-size aggregates (peak RSS bounded by --window, not
-        by --apps); with --out DIR every per-app outcome also lands
-        in sharded NDJSON files for later merge-results.  --shards N
+        the paper's tables.  Apps are derived lazily and folded into
+        constant-size aggregates, so peak RSS is bounded by the apps
+        in flight (4x --workers), not by --apps.  --journal / --resume
+        give the study crash-safe per-app checkpoints: a killed run
+        restarted with --resume reproduces the uninterrupted run's
+        report exactly.  --out DIR also writes every per-app outcome
+        to sharded NDJSON files for later merge-results; --html keeps
+        every report in memory to render the dashboard.  --shards N
         fans the checks out over N worker processes on the same
-        consistent-hash plane as serve --shards (tables are
-        byte-identical to the in-process run; pair with --cache-dir
-        --store sqlite to share one artifact cache).  --limit checks
-        only the first N apps of the corpus *without changing it*
-        (unlike --apps, which regenerates a different corpus).
+        consistent-hash plane as serve --shards, each building its
+        checker from the same flags (tables are byte-identical to the
+        in-process run; pair with --cache-dir --store sqlite to share
+        one artifact cache).  --limit checks only the first N apps of
+        the corpus *without changing it* (unlike --apps, which
+        regenerates a different corpus).
 
     python -m repro.cli merge-results DIR [--json PATH]
-        Reconstitute the study tables from a --streaming --out shard
+        Reconstitute the study tables from a study --out shard
         directory, without re-running any checks (byte-identical to
         the run's own tables).
 
@@ -82,8 +85,6 @@ import json
 import os
 import sys
 
-from repro.core.checker import PPChecker
-
 
 def _lib_policy_source(directory: str | None):
     if directory is None:
@@ -108,36 +109,22 @@ def _lib_policy_source(directory: str | None):
     return from_directory
 
 
-def _build_checker(args: argparse.Namespace, lib_policy_source) -> PPChecker:
-    """A checker honoring the shared --cache-dir and resilience
-    flags (--max-retries / --stage-timeout / --fault-plan /
-    --deadline / --retry-budget)."""
-    from repro.pipeline.artifacts import build_store
-    from repro.pipeline.faults import FaultPlan
-    from repro.pipeline.resilience import RetryBudget, RetryPolicy
+def _checker_options(args: argparse.Namespace):
+    """The checker recipe (:class:`repro.core.study.ShardOptions`)
+    from the shared --cache-dir/--store and resilience flags
+    (--max-retries / --stage-timeout / --fault-plan / --deadline /
+    --retry-budget); subcommands without a flag get its default."""
+    from repro.core.study import ShardOptions
 
-    fault_plan = None
-    fault_path = getattr(args, "fault_plan", None)
-    if fault_path is not None:
-        fault_plan = FaultPlan.from_json_file(fault_path)
-    budget = None
-    capacity = getattr(args, "retry_budget", None)
-    if capacity is not None:
-        budget = RetryBudget(
-            capacity, getattr(args, "retry_budget_refill", 1.0))
-    return PPChecker(
-        lib_policy_source=lib_policy_source,
-        artifact_store=build_store(
-            cache_dir=getattr(args, "cache_dir", None),
-            backend=getattr(args, "store", "json"),
-        ),
-        retry_policy=RetryPolicy(
-            max_retries=getattr(args, "max_retries", 0),
-            stage_timeout=getattr(args, "stage_timeout", None),
-            budget=budget,
-        ),
-        deadline_seconds=getattr(args, "deadline", None),
-        fault_plan=fault_plan,
+    return ShardOptions(
+        cache_dir=getattr(args, "cache_dir", None),
+        store_backend=getattr(args, "store", "json"),
+        max_retries=getattr(args, "max_retries", 0),
+        stage_timeout=getattr(args, "stage_timeout", None),
+        fault_plan=getattr(args, "fault_plan", None),
+        deadline=getattr(args, "deadline", None),
+        retry_budget=getattr(args, "retry_budget", None),
+        retry_budget_refill=getattr(args, "retry_budget_refill", 1.0),
     )
 
 
@@ -206,9 +193,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.android.serialization import load_bundle
 
     bundle = load_bundle(args.bundle)
-    checker = _build_checker(
-        args, _lib_policy_source(args.lib_policies)
-    )
+    checker = _checker_options(args).build_checker(
+        _lib_policy_source(args.lib_policies))
     report = checker.check(bundle)
     if args.json:
         from repro.core.schema import versioned
@@ -226,9 +212,8 @@ def cmd_batch_check(args: argparse.Namespace) -> int:
     from repro.core.report import AppFailure, partition_outcomes
     from repro.hashing import fingerprint
 
-    checker = _build_checker(
-        args, _lib_policy_source(args.lib_policies)
-    )
+    checker = _checker_options(args).build_checker(
+        _lib_policy_source(args.lib_policies))
     bundles = [load_bundle(path) for path in args.bundles]
     # outcomes are keyed by bundle content digest, so a resumed run
     # matches journal records to bundles regardless of path order
@@ -345,20 +330,6 @@ def _print_deviations(result, total: int) -> None:
         print("\nno deviations from the paper's summary numbers")
 
 
-def _shard_options(args: argparse.Namespace):
-    """Pipeline flags the ``--shards`` worker processes rebuild their
-    checkers from (the process-plane analogue of _build_checker)."""
-    from repro.core.study import ShardOptions
-
-    return ShardOptions(
-        cache_dir=args.cache_dir,
-        store_backend=args.store,
-        max_retries=args.max_retries,
-        stage_timeout=args.stage_timeout,
-        fault_plan=args.fault_plan,
-    )
-
-
 def _study_meta(args: argparse.Namespace) -> dict:
     meta = {"kind": "study", "seed": args.seed, "apps": args.apps}
     if args.limit is not None:
@@ -367,72 +338,18 @@ def _study_meta(args: argparse.Namespace) -> dict:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    if args.out is not None and not args.streaming:
-        print("error: --out requires --streaming", file=sys.stderr)
-        return 2
-    if args.streaming and args.html:
-        print("error: --html needs per-app reports; omit --streaming",
-              file=sys.stderr)
-        return 2
-    if args.streaming:
-        return _cmd_study_streaming(args)
-    runlog, skip = _open_run_log(args, _study_meta(args))
-    if args.shards > 0:
-        from repro.core.study import run_study_sharded
-
-        result = run_study_sharded(
-            seed=args.seed, n_apps=args.apps, shards=args.shards,
-            limit=args.limit, keep_going=args.keep_going,
-            skip=skip or None,
-            on_outcome=runlog.record_outcome if runlog is not None
-            else None,
-            options=_shard_options(args),
-        )
-    else:
-        from repro.core.study import run_study
-        from repro.corpus.appstore import generate_app_store
-
-        store = generate_app_store(seed=args.seed, n_apps=args.apps)
-        checker = _build_checker(args, store.lib_policy)
-        result = run_study(
-            store, checker=checker, limit=args.limit,
-            workers=args.workers,
-            keep_going=args.keep_going,
-            skip=skip or None,
-            on_outcome=runlog.record_outcome if runlog is not None
-            else None,
-        )
-    total = result.n_apps
-
-    _print_study_tables(result)
-    if result.stats is not None:
-        _print_stage_stats(result.stats)
-
-    if args.html:
-        from repro.core.html_report import write_study_html
-        write_study_html(result, args.html)
-        print(f"\nwrote {args.html}")
-    if args.json:
-        _write_study_json(result, args.json)
-
-    _print_deviations(result, total)
-    if runlog is not None:
-        runlog.close()
-    return 0
-
-
-def _cmd_study_streaming(args: argparse.Namespace) -> int:
     from repro.core.results import ResultShardError, ShardedResultWriter
-    from repro.core.study import run_study_streaming
+    from repro.core.study import ReportSink, run_study_streaming
     from repro.corpus.appstore import CorpusSpec
 
     spec = CorpusSpec(seed=args.seed, n_apps=args.apps)
-    # with --shards the worker processes build their own checkers
-    checker = (None if args.shards > 0
-               else _build_checker(args, spec.lib_policy))
     meta = _study_meta(args)
     runlog, skip = _open_run_log(args, meta)
     sinks = []
+    reports = None
+    if args.html:
+        reports = ReportSink(spec)
+        sinks.append(reports)
     writer = None
     if args.out is not None:
         try:
@@ -444,16 +361,14 @@ def _cmd_study_streaming(args: argparse.Namespace) -> int:
         sinks.append(writer)
     try:
         result = run_study_streaming(
-            spec, checker=checker, limit=args.limit,
-            workers=args.workers, window=args.window,
+            spec, limit=args.limit, workers=args.workers,
             keep_going=args.keep_going,
             skip=skip or None,
             on_outcome=runlog.record_outcome if runlog is not None
             else None,
             sinks=sinks,
             shards=args.shards,
-            shard_options=_shard_options(args) if args.shards > 0
-            else None,
+            shard_options=_checker_options(args),
         )
     except ResultShardError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -474,6 +389,11 @@ def _cmd_study_streaming(args: argparse.Namespace) -> int:
     if result.stats is not None:
         _print_stage_stats(result.stats)
 
+    if reports is not None:
+        from repro.core.html_report import write_study_html
+
+        write_study_html(reports.result, args.html)
+        print(f"\nwrote {args.html}")
     if args.json:
         _write_study_json(result, args.json)
 
@@ -500,24 +420,14 @@ def cmd_merge_results(args: argparse.Namespace) -> int:
 
 
 def cmd_screen(args: argparse.Namespace) -> int:
-    from repro.core.report import AppFailure
     from repro.core.screening import screen
-    from repro.core.study import run_study_streaming
+    from repro.core.study import run_study
     from repro.corpus.appstore import CorpusSpec
 
     # stream the corpus: each app is derived, checked, and freed;
     # only the (small) reports accumulate for ranking
-    spec = CorpusSpec(seed=args.seed, n_apps=args.apps)
-    checker = PPChecker(lib_policy_source=spec.lib_policy)
-    reports = {}
-
-    class _CollectReports:
-        def emit(self, index, key, outcome):
-            if not isinstance(outcome, AppFailure):
-                reports[key] = outcome
-
-    run_study_streaming(spec, checker=checker,
-                        sinks=[_CollectReports()])
+    reports = run_study(
+        CorpusSpec(seed=args.seed, n_apps=args.apps)).reports
     report = screen(reports, min_score=args.min_score)
 
     print(f"{'rank':>4} {'score':>6} {'package':<40} kinds / headline")
@@ -758,12 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also render an HTML dashboard here")
     study.add_argument("--workers", type=int, default=1,
                        help="worker threads (default: serial)")
-    study.add_argument("--streaming", action="store_true",
-                       help="derive apps lazily and fold outcomes "
-                            "into constant-size aggregates (peak RSS "
-                            "bounded by --window, not --apps)")
     study.add_argument("--out", default=None, metavar="DIR",
-                       help="with --streaming: write every per-app "
+                       help="also write every per-app "
                             "outcome to sharded NDJSON files in DIR "
                             "(see merge-results)")
     study.add_argument("--out-shards", type=int, default=4,
@@ -782,10 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "file per artifact, or one sqlite "
                             "database safe for concurrent --shards "
                             "worker processes (default: json)")
-    study.add_argument("--window", type=int, default=None,
-                       metavar="N",
-                       help="max in-flight apps for --streaming "
-                            "(default: 4x --workers)")
     add_cache_dir(study)
     add_resilience(study, batch=True)
     add_journal(study)
@@ -793,9 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser(
         "merge-results",
-        help="rebuild study tables from --streaming --out shards")
+        help="rebuild study tables from study --out shards")
     merge.add_argument("dir", help="shard directory written by "
-                                   "study --streaming --out")
+                                   "study --out")
     merge.add_argument("--json", default=None,
                        help="also write results to this JSON path")
     merge.set_defaults(func=cmd_merge_results)

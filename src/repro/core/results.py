@@ -18,7 +18,7 @@ those shards later:
   shard.
 - :func:`read_meta` -- the run identity (kind/seed/apps/limit)
   stamped into every shard header, used by ``merge-results`` to
-  regenerate the matching corpus plans and by ``study --streaming``
+  regenerate the matching corpus plans and by ``study --out``
   to refuse mixing two different runs in one directory.
 
 Record vocabulary (one JSON object per line, ``sort_keys`` compact)::

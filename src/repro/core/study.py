@@ -1,7 +1,13 @@
 """The 1,197-app study (Section V): run PPChecker over the corpus and
 aggregate the numbers behind every table and figure.
 
-``run_study`` produces a :class:`StudyResult` exposing:
+One engine, :func:`run_study_streaming`, derives the apps from a lazy
+:class:`CorpusSpec`, takes their outcomes in index order from one of
+two sources -- this process (inline, or a window of threads) or the
+consistent-hash :class:`ShardPool` of worker processes -- and folds
+them into a constant-size :class:`StudyAggregate`.  :func:`run_study`
+is that engine plus an in-memory sink that keeps every report, for a
+:class:`StudyResult` exposing:
 
 - Table III: permission -> count of description-incomplete apps,
 - Fig. 13: distribution of missed information (code path),
@@ -15,20 +21,27 @@ recall are exact rather than sampled.
 
 from __future__ import annotations
 
+import contextlib
 import resource
 import time
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.core.checker import PPChecker
 from repro.core.report import AppFailure, AppReport
 from repro.corpus.appstore import AppStore, CorpusSpec
 from repro.corpus.plans import AppPlan
-from repro.pipeline.artifacts import PipelineStats
+from repro.pipeline.artifacts import PipelineStats, build_store
+from repro.pipeline.executor import BatchItemError
+from repro.pipeline.faults import FaultPlan
+from repro.pipeline.resilience import RetryBudget, RetryPolicy
 from repro.policy.verbs import VerbCategory
 from repro.semantics.resources import InfoType
+
+#: outcomes a shard process may queue ahead of the parent's fold
+SHARD_QUEUE_BOUND = 32
 
 
 @dataclass
@@ -58,9 +71,57 @@ class RowMetrics:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
+class _StudyTables:
+    """Export and paper comparison over the table accessors
+    (``summary``/``table3``/``fig13``/``table4``/``failures``) that
+    :class:`StudyResult` and :class:`StudyAggregate` both provide."""
+
+    def to_dict(self) -> dict:
+        """JSON-serializable rendering of every table and figure."""
+        dist, retained = self.fig13()
+        return {
+            "summary": self.summary(),
+            "table3": self.table3(),
+            "fig13": {
+                info.value: count for info, count in dist.items()
+            },
+            "fig13_retained": retained,
+            "table4": {
+                name: {"tp": row.tp, "fp": row.fp, "fn": row.fn,
+                       "precision": row.precision,
+                       "recall": row.recall, "f1": row.f1}
+                for name, row in self.table4().items()
+            },
+            "quarantine": [
+                self.failures[pkg].to_dict()
+                for pkg in sorted(self.failures)
+            ],
+        }
+
+    def deviations_from_paper(self) -> dict[str, tuple]:
+        """Summary metrics that differ from :data:`PAPER_RESULTS`."""
+        summary = self.summary()
+        out: dict[str, tuple] = {}
+        for key, paper_value in PAPER_RESULTS.items():
+            measured = summary.get(key)
+            if measured is None:
+                continue
+            if isinstance(paper_value, float):
+                if abs(measured - paper_value) > 0.002:
+                    out[key] = (paper_value, measured)
+            elif measured != paper_value:
+                out[key] = (paper_value, measured)
+        return out
+
+
 @dataclass
-class StudyResult:
-    """Everything the benches and EXPERIMENTS.md report."""
+class StudyResult(_StudyTables):
+    """Everything the benches and EXPERIMENTS.md report.
+
+    Its set-based tables are computed straight from the kept reports,
+    independently of :meth:`StudyAggregate.fold` -- the oracle the
+    equivalence suites hold the fold to.
+    """
 
     n_apps: int
     reports: dict[str, AppReport] = field(default_factory=dict)
@@ -236,45 +297,6 @@ class StudyResult:
             "quarantined_apps": len(self.failures),
         }
 
-    # -- export & paper comparison ------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-serializable rendering of every table and figure."""
-        dist, retained = self.fig13()
-        return {
-            "summary": self.summary(),
-            "table3": self.table3(),
-            "fig13": {
-                info.value: count for info, count in dist.items()
-            },
-            "fig13_retained": retained,
-            "table4": {
-                name: {"tp": row.tp, "fp": row.fp, "fn": row.fn,
-                       "precision": row.precision,
-                       "recall": row.recall, "f1": row.f1}
-                for name, row in self.table4().items()
-            },
-            "quarantine": [
-                self.failures[pkg].to_dict()
-                for pkg in sorted(self.failures)
-            ],
-        }
-
-    def deviations_from_paper(self) -> dict[str, tuple]:
-        """Summary metrics that differ from :data:`PAPER_RESULTS`."""
-        summary = self.summary()
-        out: dict[str, tuple] = {}
-        for key, paper_value in PAPER_RESULTS.items():
-            measured = summary.get(key)
-            if measured is None:
-                continue
-            if isinstance(paper_value, float):
-                if abs(measured - paper_value) > 0.002:
-                    out[key] = (paper_value, measured)
-            elif measured != paper_value:
-                out[key] = (paper_value, measured)
-        return out
-
 
 #: the paper's published evaluation numbers (Section V).
 PAPER_RESULTS: dict[str, int | float] = {
@@ -291,103 +313,16 @@ PAPER_RESULTS: dict[str, int | float] = {
 }
 
 
-def run_study(
-    store: AppStore,
-    checker: PPChecker | None = None,
-    limit: int | None = None,
-    workers: int = 1,
-    keep_going: bool = True,
-    skip: dict[str, AppReport | AppFailure] | None = None,
-    on_outcome: Callable[[str, AppReport | AppFailure],
-                         None] | None = None,
-) -> StudyResult:
-    """Run PPChecker over every app of the store.
-
-    ``workers`` fans the per-app checks out over the pipeline's batch
-    executor (thread pool, deterministic ordering); the aggregated
-    numbers are identical for any worker count.  The pipeline's
-    per-stage counters land on ``result.stats``.
-
-    With ``keep_going`` (the default) an app whose check fails is
-    quarantined on ``result.failures`` instead of aborting the study
-    -- broken inputs are the norm at corpus scale; pass
-    ``keep_going=False`` to fail fast on the first broken bundle.
-
-    ``skip`` maps package -> an already-known outcome (replayed from
-    a journal by ``study --resume``); those apps are merged into the
-    result without re-checking.  ``on_outcome`` observes every
-    *freshly computed* outcome as ``(package, outcome)`` the moment
-    its app finishes -- the durability layer's checkpoint hook; it
-    never re-fires for skipped apps.
-    """
-    started = time.perf_counter()
-    if checker is None:
-        checker = PPChecker(lib_policy_source=store.lib_policy)
-    apps = store.apps if limit is None else store.apps[:limit]
-    skip = skip or {}
-    result = StudyResult(n_apps=len(apps))
-    remaining = [app for app in apps if app.package not in skip]
-    callback = None
-    if on_outcome is not None:
-        hook = on_outcome
-
-        def callback(bundle, outcome):  # noqa: ANN001 - local adapter
-            hook(bundle.package, outcome)
-
-    outcomes = checker.check_batch(
-        [app.bundle for app in remaining], workers=workers,
-        on_error="quarantine" if keep_going else "raise",
-        on_outcome=callback,
-    )
-    fresh = dict(zip((app.package for app in remaining), outcomes))
-    for app in apps:
-        result.plans[app.package] = app.plan
-        outcome = (skip[app.package] if app.package in skip
-                   else fresh[app.package])
-        if isinstance(outcome, AppFailure):
-            result.failures[app.package] = outcome
-        else:
-            result.reports[app.package] = outcome
-    result.stats = checker.stats
-    result.telemetry = _telemetry(started, len(apps))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# streaming execution
-# ---------------------------------------------------------------------------
-
-
-def _telemetry(started: float, apps: int) -> dict[str, float | int]:
-    """Run telemetry: process high-water RSS plus throughput."""
-    elapsed = time.perf_counter() - started
-    return {
-        "peak_rss_kb": resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss,
-        "apps_per_sec": apps / elapsed if elapsed > 0 else 0.0,
-        "elapsed_s": elapsed,
-    }
-
-
-class ResultSink(Protocol):
-    """Anything that wants every finished outcome, in index order
-    (e.g. :class:`repro.core.results.ShardedResultWriter`)."""
-
-    def emit(self, index: int, key: str,
-             outcome: AppReport | AppFailure) -> None: ...
-
-
 @dataclass
-class StudyAggregate:
+class StudyAggregate(_StudyTables):
     """:class:`StudyResult`'s tables, folded one app at a time.
 
     Holds counters instead of the reports dict, so its size is
-    independent of the corpus: the streaming study folds a
-    million-app run into the same few hundred bytes as the paper's
-    1,197.  ``to_dict()`` is pinned byte-identical to
-    ``StudyResult.to_dict()`` -- every table in the materialized
-    result decomposes into per-app increments, and :meth:`fold`
-    applies exactly those increments.
+    independent of the corpus: the study folds a million-app run into
+    the same few hundred bytes as the paper's 1,197.  ``to_dict()`` is
+    pinned byte-identical to ``StudyResult.to_dict()`` -- every table
+    in the materialized result decomposes into per-app increments, and
+    :meth:`fold` applies exactly those increments.
     """
 
     n_apps: int = 0
@@ -507,40 +442,155 @@ class StudyAggregate:
             "quarantined_apps": len(self.failures),
         }
 
-    def to_dict(self) -> dict:
-        dist, retained = self.fig13()
-        return {
-            "summary": self.summary(),
-            "table3": self.table3(),
-            "fig13": {
-                info.value: count for info, count in dist.items()
-            },
-            "fig13_retained": retained,
-            "table4": {
-                name: {"tp": row.tp, "fp": row.fp, "fn": row.fn,
-                       "precision": row.precision,
-                       "recall": row.recall, "f1": row.f1}
-                for name, row in self.table4().items()
-            },
-            "quarantine": [
-                self.failures[pkg].to_dict()
-                for pkg in sorted(self.failures)
-            ],
-        }
 
-    def deviations_from_paper(self) -> dict[str, tuple]:
-        summary = self.summary()
-        out: dict[str, tuple] = {}
-        for key, paper_value in PAPER_RESULTS.items():
-            measured = summary.get(key)
-            if measured is None:
-                continue
-            if isinstance(paper_value, float):
-                if abs(measured - paper_value) > 0.002:
-                    out[key] = (paper_value, measured)
-            elif measured != paper_value:
-                out[key] = (paper_value, measured)
-        return out
+# ---------------------------------------------------------------------------
+# sinks
+# ---------------------------------------------------------------------------
+
+
+class ResultSink(Protocol):
+    """Anything that wants every finished outcome, in index order
+    (e.g. :class:`repro.core.results.ShardedResultWriter`)."""
+
+    def emit(self, index: int, key: str,
+             outcome: AppReport | AppFailure) -> None: ...
+
+
+class ReportSink:
+    """The in-memory sink: keeps every outcome and its plan on
+    :attr:`result`, a :class:`StudyResult` (what :func:`run_study`
+    returns and the HTML dashboard renders)."""
+
+    def __init__(self, spec: CorpusSpec) -> None:
+        self.spec = spec
+        self.result = StudyResult(n_apps=0)
+
+    def emit(self, index: int, key: str,
+             outcome: AppReport | AppFailure) -> None:
+        result = self.result
+        result.n_apps += 1
+        result.plans[key] = self.spec.plan(index)
+        if isinstance(outcome, AppFailure):
+            result.failures[key] = outcome
+        else:
+            result.reports[key] = outcome
+
+
+# ---------------------------------------------------------------------------
+# the checker recipe
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShardOptions:
+    """The one checker recipe, as picklable primitives.
+
+    Every study plane -- this process and each shard process on its
+    side of the spawn boundary -- builds its :class:`PPChecker` with
+    :meth:`build_checker`, and so does the CLI; no checker object is
+    ever shipped across.  The same recipe gives the same pipeline,
+    which is what keeps the sharded study byte-identical to the
+    single-process one.
+    """
+
+    #: artifact cache directory shared by every shard (``None``
+    #: disables the disk tier)
+    cache_dir: str | None = None
+    #: ``"json"`` (one file per artifact) or ``"sqlite"`` (the
+    #: cross-process :class:`repro.pipeline.artifacts.SharedDiskStore`)
+    store_backend: str = "json"
+    max_retries: int = 0
+    stage_timeout: float | None = None
+    #: path to a JSON fault plan (see :mod:`repro.pipeline.faults`)
+    fault_plan: str | None = None
+    #: per-check wall-clock budget in seconds (``None`` = unbounded)
+    deadline: float | None = None
+    #: capacity of the retry token bucket (``None`` = unlimited)
+    retry_budget: float | None = None
+    retry_budget_refill: float = 1.0
+
+    def build_checker(
+            self, lib_policy_source: Callable[[str], str | None],
+    ) -> PPChecker:
+        budget = (RetryBudget(self.retry_budget,
+                              self.retry_budget_refill)
+                  if self.retry_budget is not None else None)
+        return PPChecker(
+            lib_policy_source=lib_policy_source,
+            artifact_store=build_store(cache_dir=self.cache_dir,
+                                       backend=self.store_backend),
+            retry_policy=RetryPolicy(max_retries=self.max_retries,
+                                     stage_timeout=self.stage_timeout,
+                                     budget=budget),
+            deadline_seconds=self.deadline,
+            fault_plan=(FaultPlan.from_json_file(self.fault_plan)
+                        if self.fault_plan is not None else None),
+        )
+
+
+# ---------------------------------------------------------------------------
+# the engine
+# ---------------------------------------------------------------------------
+
+
+def _telemetry(started: float, apps: int) -> dict[str, float | int]:
+    """Run telemetry: process high-water RSS plus throughput."""
+    elapsed = time.perf_counter() - started
+    return {
+        "peak_rss_kb": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss,
+        "apps_per_sec": apps / elapsed if elapsed > 0 else 0.0,
+        "elapsed_s": elapsed,
+    }
+
+
+def _check_one(spec: CorpusSpec, checker: PPChecker,
+               index: int) -> AppReport | AppFailure:
+    """The outcome of corpus app *index*; a failing check becomes its
+    quarantine record, on every plane."""
+    try:
+        return checker.check(spec.app(index).bundle)
+    except Exception as exc:
+        return AppFailure.from_exception(spec.package_for(index), exc)
+
+
+def _local_outcomes(spec: CorpusSpec, checker: PPChecker, total: int,
+                    skip: dict, workers: int,
+                    ) -> Iterator[AppReport | AppFailure]:
+    """Fresh outcomes checked in this process, in index order: inline
+    for one worker, else from at most ``4 * workers`` in-flight
+    checks on a thread pool."""
+    todo = (index for index in range(total)
+            if spec.package_for(index) not in skip)
+    if workers <= 1:
+        for index in todo:
+            yield _check_one(spec, checker, index)
+        return
+    pending: deque[Future] = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for index in todo:
+                pending.append(pool.submit(_check_one, spec, checker,
+                                           index))
+                if len(pending) >= 4 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+def _fail_fast(index: int, failure: AppFailure) -> BatchItemError:
+    """``keep_going=False``'s error, the same on every plane: built
+    from the failure record, which -- unlike the exception -- crosses
+    the shard process boundary intact."""
+    cause = RuntimeError(
+        f"{failure.error} at stage {failure.stage!r} after "
+        f"{failure.attempts} attempt(s): {failure.message}")
+    error = BatchItemError(index, failure.package, cause)
+    error.__cause__ = cause
+    return error
 
 
 def run_study_streaming(
@@ -548,145 +598,112 @@ def run_study_streaming(
     checker: PPChecker | None = None,
     limit: int | None = None,
     workers: int = 1,
-    window: int | None = None,
     keep_going: bool = True,
     skip: dict[str, AppReport | AppFailure] | None = None,
     on_outcome: Callable[[str, AppReport | AppFailure],
                          None] | None = None,
     sinks: Iterable[ResultSink] = (),
     shards: int = 0,
-    shard_options: "ShardOptions | None" = None,
+    shard_options: ShardOptions | None = None,
 ) -> StudyAggregate:
     """The study as a bounded-memory stream over a lazy corpus.
 
-    Apps are derived from *spec* one index at a time, pushed through
-    the checker with at most *window* apps in flight (default
-    ``4 * workers``), and folded straight into a
-    :class:`StudyAggregate` -- peak RSS is set by the window, not by
-    ``len(spec)``.  Outcomes are drained and folded **in index
-    order** regardless of worker completion order, so every sink
-    (e.g. the sharded NDJSON writer) sees a deterministic emission
-    sequence and reruns are byte-identical.
+    Apps are derived from *spec* one index at a time, checked, and
+    folded straight into a :class:`StudyAggregate` -- peak RSS is set
+    by the apps in flight, not by ``len(spec)``.  Outcomes come from
+    one of two sources, always **in index order**:
 
-    ``skip``/``on_outcome`` mirror :func:`run_study`: ``skip`` maps
-    package -> journal-replayed outcome (folded and emitted to sinks,
-    but never re-checked and never re-fired through ``on_outcome``),
-    which is what makes a ``--resume`` d streaming run reproduce the
-    uninterrupted run's shards byte-for-byte.
+    - this process: inline for ``workers=1``, else a thread pool with
+      at most ``4 * workers`` apps in flight;
+    - with ``shards > 0``, the consistent-hash *process* worker plane
+      (:class:`ShardPool`); *workers* is ignored there.
 
-    With ``shards > 0`` the per-app checks run on the consistent-hash
-    *process* worker plane instead of a thread pool (see
-    :class:`ShardPool`); *checker*/*workers* are ignored and
-    *shard_options* carries the pipeline flags each worker process
-    rebuilds its checker from.  Folding and sink emission still
-    happen in the parent, in index order, so the aggregates and the
-    NDJSON result shards stay byte-identical to the in-process run.
+    Each app's checker comes from *checker* or, when that is None
+    (always with ``shards > 0``), from the *shard_options* recipe.
+    For each outcome the loop fires ``on_outcome`` (fresh outcomes
+    only), folds it, and emits it to every sink, so the aggregates
+    and any sink's output (e.g. the sharded NDJSON writer) are
+    byte-identical across planes and reruns.
+
+    ``skip`` maps package -> journal-replayed outcome (folded and
+    emitted to sinks, but never re-checked and never re-fired through
+    ``on_outcome``), which is what makes a ``--resume`` d run
+    reproduce the uninterrupted run byte-for-byte.  With
+    ``keep_going`` (the default) a failing app is quarantined on
+    ``failures``; ``keep_going=False`` raises
+    :class:`~repro.pipeline.executor.BatchItemError` for the first
+    failing corpus index instead.
     """
     started = time.perf_counter()
+    total = len(spec) if limit is None else min(limit, len(spec))
+    skip = skip or {}
+    sinks = tuple(sinks)
+    options = shard_options or ShardOptions()
     if shards > 0:
-        return _run_study_streaming_sharded(
-            spec, started, limit=limit, shards=shards,
-            shard_options=shard_options,
-            window=window if window is not None else 32,
-            keep_going=keep_going, skip=skip,
-            on_outcome=on_outcome, sinks=sinks)
-    if checker is None:
-        checker = PPChecker(lib_policy_source=spec.lib_policy)
-    total = len(spec) if limit is None else min(limit, len(spec))
-    workers = max(1, workers)
-    if window is None:
-        window = max(4 * workers, 1)
-    window = max(window, workers)
-    skip = skip or {}
-    sinks = tuple(sinks)
-    aggregate = StudyAggregate()
-
-    def outcome_for(plan: AppPlan) -> AppReport | AppFailure:
-        try:
-            return checker.check(spec.app(plan.index).bundle)
-        except Exception as exc:
-            if not keep_going:
-                raise
-            return AppFailure.from_exception(plan.package, exc)
-
-    def settle(plan: AppPlan, outcome: AppReport | AppFailure,
-               fresh: bool) -> None:
-        if fresh and on_outcome is not None:
-            on_outcome(plan.package, outcome)
-        aggregate.fold(plan, outcome)
-        for sink in sinks:
-            sink.emit(plan.index, plan.package, outcome)
-
-    if workers == 1:
-        for index in range(total):
-            plan = spec.plan(index)
-            if plan.package in skip:
-                settle(plan, skip[plan.package], fresh=False)
-            else:
-                settle(plan, outcome_for(plan), fresh=True)
+        if checker is not None:
+            raise ValueError("shard processes build their checkers "
+                             "from shard_options; pass no checker")
+        pool = ShardPool(spec, shards=shards, total=total, skip=skip,
+                         options=options)
+        source = pool.outcomes()
     else:
-        pending: deque[tuple[AppPlan, object]] = deque()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for index in range(total):
-                plan = spec.plan(index)
-                if plan.package in skip:
-                    pending.append((plan, skip[plan.package]))
-                else:
-                    pending.append(
-                        (plan, pool.submit(outcome_for, plan)))
-                while len(pending) >= window:
-                    head_plan, slot = pending.popleft()
-                    fresh = isinstance(slot, Future)
-                    outcome = slot.result() if fresh else slot
-                    settle(head_plan, outcome, fresh=fresh)
-            while pending:
-                head_plan, slot = pending.popleft()
-                fresh = isinstance(slot, Future)
-                outcome = slot.result() if fresh else slot
-                settle(head_plan, outcome, fresh=fresh)
-
-    aggregate.stats = checker.stats
-    aggregate.telemetry = _telemetry(started, total)
-    return aggregate
-
-
-def _run_study_streaming_sharded(
-    spec: CorpusSpec,
-    started: float,
-    limit: int | None,
-    shards: int,
-    shard_options: "ShardOptions | None",
-    window: int,
-    keep_going: bool,
-    skip: dict[str, AppReport | AppFailure] | None,
-    on_outcome: Callable[[str, AppReport | AppFailure], None] | None,
-    sinks: Iterable[ResultSink],
-) -> StudyAggregate:
-    """The streaming study's process worker plane: per-app checks run
-    on a :class:`ShardPool`; folding and sink emission stay in the
-    parent, in index order."""
-    total = len(spec) if limit is None else min(limit, len(spec))
-    skip = skip or {}
-    sinks = tuple(sinks)
+        pool = None
+        if checker is None:
+            checker = options.build_checker(spec.lib_policy)
+        source = _local_outcomes(spec, checker, total, skip, workers)
     aggregate = StudyAggregate()
-    with ShardPool(spec, shards=shards, total=total, skip=set(skip),
-                   options=shard_options, keep_going=keep_going,
-                   window=window) as pool:
-        fresh = pool.outcomes()
+    with pool or contextlib.nullcontext(), \
+            contextlib.closing(source) as fresh:
         for index in range(total):
             plan = spec.plan(index)
-            if plan.package in skip:
-                outcome = skip[plan.package]
-            else:
-                _, outcome = next(fresh)
+            outcome = skip.get(plan.package)
+            if outcome is None:
+                outcome = next(fresh)
+                if isinstance(outcome, AppFailure) and not keep_going:
+                    raise _fail_fast(index, outcome)
                 if on_outcome is not None:
                     on_outcome(plan.package, outcome)
             aggregate.fold(plan, outcome)
             for sink in sinks:
-                sink.emit(plan.index, plan.package, outcome)
-        aggregate.stats = pool.finish()
+                sink.emit(index, plan.package, outcome)
+        aggregate.stats = (pool.finish() if pool is not None
+                           else checker.stats)
     aggregate.telemetry = _telemetry(started, total)
     return aggregate
+
+
+def run_study(
+    corpus: CorpusSpec | AppStore,
+    checker: PPChecker | None = None,
+    limit: int | None = None,
+    workers: int = 1,
+    keep_going: bool = True,
+    skip: dict[str, AppReport | AppFailure] | None = None,
+    on_outcome: Callable[[str, AppReport | AppFailure],
+                         None] | None = None,
+    shards: int = 0,
+    shard_options: ShardOptions | None = None,
+) -> StudyResult:
+    """Run PPChecker over every app of the corpus, keeping each report.
+
+    :func:`run_study_streaming` plus a :class:`ReportSink`; every
+    argument means what it means there.  An :class:`AppStore` is read
+    as the ``CorpusSpec(store.seed, len(store))`` it was materialized
+    from, so its apps are re-derived lazily rather than taken from
+    ``store.apps``.  The pipeline's per-stage counters land on
+    ``result.stats``.
+    """
+    spec = (corpus if isinstance(corpus, CorpusSpec)
+            else CorpusSpec(seed=corpus.seed, n_apps=len(corpus)))
+    sink = ReportSink(spec)
+    aggregate = run_study_streaming(
+        spec, checker=checker, limit=limit, workers=workers,
+        keep_going=keep_going, skip=skip, on_outcome=on_outcome,
+        sinks=[sink], shards=shards, shard_options=shard_options)
+    result = sink.result
+    result.stats = aggregate.stats
+    result.telemetry = aggregate.telemetry
+    return result
 
 
 def merge_study_results(out_dir: str) -> StudyAggregate:
@@ -718,79 +735,32 @@ def merge_study_results(out_dir: str) -> StudyAggregate:
 
 
 # ---------------------------------------------------------------------------
-# sharded execution (the process worker plane)
+# the process worker plane
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardOptions:
-    """Pipeline construction parameters the study's worker processes
-    need on their side of the spawn boundary.
-
-    The parent never ships a checker across -- each worker rebuilds
-    its own from these primitives, which is also what keeps the
-    sharded study byte-identical to the single-process one: the same
-    flags produce the same pipeline.
-    """
-
-    #: artifact cache directory shared by every shard (``None``
-    #: disables the disk tier)
-    cache_dir: str | None = None
-    #: ``"json"`` (one file per artifact) or ``"sqlite"`` (the
-    #: cross-process :class:`repro.pipeline.artifacts.SharedDiskStore`)
-    store_backend: str = "json"
-    max_retries: int = 0
-    stage_timeout: float | None = None
-    #: path to a JSON fault plan (see :mod:`repro.pipeline.faults`)
-    fault_plan: str | None = None
 
 
 def _shard_worker_main(shard: int, shards: int, seed: int, n_apps: int,
                        total: int, skip: frozenset,
-                       options: ShardOptions, keep_going: bool,
-                       out_queue) -> None:
+                       options: ShardOptions, out_queue) -> None:
     """Worker process: check every corpus index whose package the hash
     ring assigns to shard *shard*, in ascending index order, streaming
-    ``("outcome", index, outcome)`` records back.  Always ends with a
+    ``("outcome", index, outcome)`` records back -- a failing check
+    as its picklable :class:`AppFailure`.  Always ends with a
     ``("stats", snapshot)`` record so the parent can merge pipeline
     counters."""
-    from repro.pipeline.artifacts import build_store
-    from repro.pipeline.faults import FaultPlan
-    from repro.pipeline.resilience import RetryPolicy
     from repro.service.hashring import ring_for, shard_name
 
     spec = CorpusSpec(seed=seed, n_apps=n_apps)
     ring = ring_for(shards)
     mine = shard_name(shard)
-    fault_plan = (FaultPlan.from_json_file(options.fault_plan)
-                  if options.fault_plan is not None else None)
-    checker = PPChecker(
-        lib_policy_source=spec.lib_policy,
-        artifact_store=build_store(cache_dir=options.cache_dir,
-                                   backend=options.store_backend),
-        retry_policy=RetryPolicy(max_retries=options.max_retries,
-                                 stage_timeout=options.stage_timeout),
-        fault_plan=fault_plan,
-    )
+    checker = options.build_checker(spec.lib_policy)
     try:
         for index in range(total):
-            if ring.place(spec.package_for(index)) != mine:
+            package = spec.package_for(index)
+            if package in skip or ring.place(package) != mine:
                 continue
-            plan = spec.plan(index)
-            if plan.package in skip:
-                continue
-            try:
-                outcome = checker.check(spec.app(index).bundle)
-            except Exception as exc:
-                if not keep_going:
-                    try:
-                        out_queue.put(("fatal", index, exc))
-                    except Exception:
-                        out_queue.put(("fatal", index, RuntimeError(
-                            f"{type(exc).__name__}: {exc}")))
-                    return
-                outcome = AppFailure.from_exception(plan.package, exc)
-            out_queue.put(("outcome", index, outcome))
+            out_queue.put(("outcome", index,
+                           _check_one(spec, checker, index)))
     finally:
         out_queue.put(("stats", checker.stats.snapshot()))
 
@@ -805,15 +775,15 @@ class ShardPool:
     name.  The parent drains outcomes in **global index order**:
     every index belongs to exactly one shard and each shard emits its
     indices ascending, so the head of the owner's queue is always the
-    next outcome.  Per-shard queues are bounded by *window*, so a
-    fast shard blocks instead of buffering unboundedly -- peak parent
-    memory is ``shards * window`` outcomes, never the corpus.
+    next outcome.  Per-shard queues hold at most
+    :data:`SHARD_QUEUE_BOUND` outcomes, so a fast shard blocks instead
+    of buffering unboundedly -- peak parent memory is a constant per
+    shard, never the corpus.
     """
 
     def __init__(self, spec: CorpusSpec, shards: int, total: int,
-                 skip: frozenset | set = frozenset(),
-                 options: ShardOptions | None = None,
-                 keep_going: bool = True, window: int = 32):
+                 skip: Iterable[str] = (),
+                 options: ShardOptions | None = None):
         import multiprocessing
 
         from repro.service.hashring import ring_for, shard_name
@@ -827,14 +797,13 @@ class ShardPool:
                              for i in range(self.shards)}
         options = options or ShardOptions()
         ctx = multiprocessing.get_context("spawn")
-        self.queues = [ctx.Queue(maxsize=max(1, window))
+        self.queues = [ctx.Queue(maxsize=SHARD_QUEUE_BOUND)
                        for _ in range(self.shards)]
         self.processes = [
             ctx.Process(
                 target=_shard_worker_main,
                 args=(index, self.shards, spec.seed, spec.n_apps,
-                      total, self.skip, options, keep_going,
-                      self.queues[index]),
+                      total, self.skip, options, self.queues[index]),
                 daemon=True,
             )
             for index in range(self.shards)
@@ -865,27 +834,21 @@ class ShardPool:
                         f"indices; rerun with --journal/--resume to "
                         f"replay the finished apps") from None
 
-    def outcomes(self) -> "Iterable[tuple[int, AppReport | AppFailure]]":
-        """Yield ``(index, outcome)`` for every fresh (non-skipped)
-        index, in ascending index order."""
+    def outcomes(self) -> Iterator[AppReport | AppFailure]:
+        """Yield the outcome of every fresh (non-skipped) index, in
+        ascending index order."""
         for index in range(self.total):
             package = self.spec.package_for(index)
             if package in self.skip:
                 continue
             shard = self._owner_index[self.ring.place(package)]
             record = self._next(shard)
-            kind = record[0]
-            if kind == "fatal":
-                error = record[2]
-                if isinstance(error, BaseException):
-                    raise error
-                raise RuntimeError(str(error))
-            if kind != "outcome" or record[1] != index:
+            if record[0] != "outcome" or record[1] != index:
                 raise RuntimeError(
                     f"study shard {shard} broke protocol: expected "
-                    f"outcome {index}, got {kind!r} "
+                    f"outcome {index}, got {record[0]!r} "
                     f"{record[1] if len(record) > 1 else None!r}")
-            yield index, record[2]
+            yield record[2]
 
     def finish(self) -> PipelineStats:
         """Collect each shard's trailing stats record and merge the
@@ -916,73 +879,7 @@ class ShardPool:
             queue.cancel_join_thread()
 
 
-def run_study_sharded(
-    seed: int = 2016,
-    n_apps: int = 1197,
-    shards: int = 2,
-    limit: int | None = None,
-    keep_going: bool = True,
-    skip: dict[str, AppReport | AppFailure] | None = None,
-    on_outcome: Callable[[str, AppReport | AppFailure],
-                         None] | None = None,
-    options: ShardOptions | None = None,
-    window: int = 32,
-) -> StudyResult:
-    """The study over the consistent-hash worker plane: *shards*
-    processes, each checking the corpus indices the service hash ring
-    assigns to it, drained in index order.
-
-    The aggregated result is byte-identical to :func:`run_study` for
-    any shard count -- assignment only decides *where* an app is
-    checked, never what its report says.  ``skip``/``on_outcome``
-    mirror :func:`run_study` (journal replay / checkpoint hooks); the
-    hooks fire in the parent, in index order, so a journaled sharded
-    run resumes exactly like a single-process one.
-    """
-    started = time.perf_counter()
-    spec = CorpusSpec(seed=seed, n_apps=n_apps)
-    total = len(spec) if limit is None else min(limit, len(spec))
-    skip = skip or {}
-    result = StudyResult(n_apps=total)
-    with ShardPool(spec, shards=shards, total=total, skip=set(skip),
-                   options=options, keep_going=keep_going,
-                   window=window) as pool:
-        fresh = pool.outcomes()
-        for index in range(total):
-            plan = spec.plan(index)
-            if plan.package in skip:
-                outcome = skip[plan.package]
-            else:
-                _, outcome = next(fresh)
-                if on_outcome is not None:
-                    on_outcome(plan.package, outcome)
-            result.plans[plan.package] = plan
-            if isinstance(outcome, AppFailure):
-                result.failures[plan.package] = outcome
-            else:
-                result.reports[plan.package] = outcome
-        result.stats = pool.finish()
-    result.telemetry = _telemetry(started, total)
-    return result
-
-
-def run_study_parallel(
-    seed: int = 2016,
-    n_apps: int = 1197,
-    jobs: int = 2,
-) -> StudyResult:
-    """The study fanned out over worker processes -- the same
-    hash-ring worker plane as ``study --shards N``.
-
-    Each worker derives only its own apps from the lazy
-    :class:`CorpusSpec` (per-index RNG derivation -- no worker ever
-    builds the full store), so no APKs cross process boundaries --
-    only the reports come back.
-    """
-    return run_study_sharded(seed=seed, n_apps=n_apps, shards=jobs)
-
-
 __all__ = ["RowMetrics", "StudyResult", "StudyAggregate",
-           "ResultSink", "ShardOptions", "ShardPool", "PAPER_RESULTS",
-           "run_study", "run_study_streaming", "run_study_sharded",
-           "merge_study_results", "run_study_parallel"]
+           "ResultSink", "ReportSink", "ShardOptions", "ShardPool",
+           "PAPER_RESULTS", "run_study", "run_study_streaming",
+           "merge_study_results"]

@@ -1,23 +1,20 @@
 """Batch fan-out with deterministic result ordering.
 
-``BatchExecutor.map`` is the one primitive the batch entry points
-(``run_study``, ``repro.cli study``, ``repro.cli batch-check``) build
-on: apply a function to every item, return results in *input* order
-regardless of completion order, run serially when ``workers <= 1`` so
-the default path is byte-identical to the pre-pipeline behaviour.
+``BatchExecutor.map`` is the primitive behind
+:meth:`repro.core.checker.PPChecker.check_batch` (and so
+``repro.cli batch-check``): apply a function to every item, return
+results in *input* order regardless of completion order, run serially
+when ``workers <= 1`` so the default path is byte-identical to the
+pre-pipeline behaviour.
 
 A worker exception surfaces as :class:`BatchItemError` naming the
-failing item's index (and a truncated repr of the item), in every
-mode -- the naive ``pool.map`` would lose the index in process pools,
-leaving a thousand-app batch with no way to tell which input broke.
-The original exception rides along as ``__cause__``.
+failing item's index (and a truncated repr of the item); the original
+exception rides along as ``__cause__``.  The study raises the same
+error for its first failing corpus index under ``keep_going=False``.
 
-Threads are the default worker kind: checker objects (closures over
-lib-policy sources, shared artifact stores) do not need to pickle, and
-the artifact store plus stats counters are shared and lock-protected.
-``kind="process"`` switches to a process pool for picklable workloads
-(see :func:`repro.core.study.run_study_parallel` for the
-regenerate-in-worker pattern that keeps APKs off the wire).
+Workers are threads: checker objects (closures over lib-policy
+sources, shared artifact stores) do not need to pickle, and the
+artifact store plus stats counters are shared and lock-protected.
 """
 
 from __future__ import annotations
@@ -49,11 +46,6 @@ class BatchExecutor:
     """Maps a function over items with bounded parallelism."""
 
     workers: int = 1
-    kind: str = "thread"  # "thread" | "process"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("thread", "process"):
-            raise ValueError(f"unknown executor kind: {self.kind!r}")
 
     def map(self, fn: Callable[[T], R],
             items: Iterable[T]) -> list[R]:
@@ -70,14 +62,10 @@ class BatchExecutor:
                 except Exception as exc:
                     raise BatchItemError(index, item, exc) from exc
             return results
-        pool_cls = (
-            concurrent.futures.ThreadPoolExecutor
-            if self.kind == "thread"
-            else concurrent.futures.ProcessPoolExecutor
-        )
         # submit per item (not pool.map) so a failure still knows its
         # index; futures are drained in input order.
-        with pool_cls(max_workers=workers) as pool:
+        with concurrent.futures.ThreadPoolExecutor(
+                max_workers=workers) as pool:
             futures = [pool.submit(fn, item) for item in todo]
             results = []
             for index, future in enumerate(futures):

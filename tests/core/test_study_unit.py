@@ -1,4 +1,4 @@
-"""Study-aggregation unit tests + the parallel runner."""
+"""Study-aggregation unit tests + the sharded process runner."""
 
 import pytest
 
@@ -6,9 +6,8 @@ from repro.core.study import (
     RowMetrics,
     StudyResult,
     run_study,
-    run_study_parallel,
 )
-from repro.corpus.appstore import generate_app_store
+from repro.corpus.appstore import CorpusSpec, generate_app_store
 
 
 class TestRowMetrics:
@@ -63,7 +62,7 @@ class TestExport:
 class TestParallelStudy:
     def test_parallel_matches_serial(self):
         serial = run_study(generate_app_store(n_apps=80))
-        parallel = run_study_parallel(n_apps=80, jobs=2)
+        parallel = run_study(CorpusSpec(n_apps=80), shards=2)
         assert parallel.n_apps == serial.n_apps
         assert set(parallel.reports) == set(serial.reports)
         for package in serial.reports:
@@ -71,5 +70,5 @@ class TestParallelStudy:
                 serial.reports[package].to_dict()
 
     def test_single_job(self):
-        result = run_study_parallel(n_apps=20, jobs=1)
+        result = run_study(CorpusSpec(n_apps=20), shards=1)
         assert result.n_apps == 20

@@ -2,7 +2,7 @@
 
 Differential proof obligations for the ``--shards N`` worker planes:
 
-- ``run_study_sharded`` reproduces ``run_study``'s tables
+- ``run_study(..., shards=N)`` reproduces ``run_study``'s tables
   byte-identically for any shard count, cold *and* warm through the
   shared sqlite artifact store (the full 1,197-app study rides in the
   slow lane),
@@ -10,8 +10,8 @@ Differential proof obligations for the ``--shards N`` worker planes:
   and writes the same NDJSON result shards as the in-process one,
 - the journal hooks fire identically, so a resumed sharded run merges
   replayed outcomes exactly like a single-process one,
-- the CLI end to end: ``study --shards N`` (materialized and
-  streaming + merge-results) prints the same tables and writes the
+- the CLI end to end: ``study --shards N`` (alone, and with
+  ``--out`` + merge-results) prints the same tables and writes the
   same JSON as plain ``study``,
 - the sharded service: ``/v1/batch`` against ``serve --shards N``
   returns the same reports in the same order as the single-process
@@ -29,7 +29,6 @@ from repro.core.study import (
     ShardOptions,
     merge_study_results,
     run_study,
-    run_study_sharded,
     run_study_streaming,
 )
 from repro.corpus.appstore import CorpusSpec
@@ -74,10 +73,10 @@ class TestShardedStudyEquivalence:
         base = run_study(small_store)
         options = ShardOptions(cache_dir=str(tmp_path / "cache"),
                                store_backend="sqlite")
-        cold = run_study_sharded(n_apps=64, shards=4,
-                                 options=options)
-        warm = run_study_sharded(n_apps=64, shards=4,
-                                 options=options)
+        cold = run_study(CorpusSpec(n_apps=64), shards=4,
+                         shard_options=options)
+        warm = run_study(CorpusSpec(n_apps=64), shards=4,
+                         shard_options=options)
         assert canonical(cold.to_dict()) == canonical(base.to_dict())
         assert canonical(warm.to_dict()) == canonical(base.to_dict())
         # the warm pass really re-read the shared sqlite store: every
@@ -85,7 +84,7 @@ class TestShardedStudyEquivalence:
         assert total_hits(warm) > total_hits(cold)
 
     def test_shard_count_never_changes_the_tables(self):
-        results = [run_study_sharded(n_apps=32, shards=shards)
+        results = [run_study(CorpusSpec(n_apps=32), shards=shards)
                    for shards in (1, 2, 5)]
         payloads = {canonical(result.to_dict())
                     for result in results}
@@ -93,8 +92,8 @@ class TestShardedStudyEquivalence:
 
     def test_limit_matches_run_study_limit(self, mid_store):
         base = run_study(mid_store, limit=48)
-        sharded = run_study_sharded(n_apps=len(mid_store), shards=3,
-                                    limit=48)
+        sharded = run_study(CorpusSpec(n_apps=len(mid_store)),
+                            shards=3, limit=48)
         assert canonical(sharded.to_dict()) \
             == canonical(base.to_dict())
         assert sharded.n_apps == 48
@@ -134,8 +133,8 @@ class TestShardedStudyEquivalence:
         skip = {package: base.reports[package]
                 for package in packages}
         fresh_fired = []
-        resumed = run_study_sharded(
-            n_apps=64, shards=3, skip=skip,
+        resumed = run_study(
+            CorpusSpec(n_apps=64), shards=3, skip=skip,
             on_outcome=lambda pkg, outcome: fresh_fired.append(pkg))
         assert canonical(resumed.to_dict()) \
             == canonical(base.to_dict())
@@ -148,8 +147,10 @@ class TestShardedStudyEquivalence:
         base = run_study(full_store, checker=checker)
         options = ShardOptions(cache_dir=str(tmp_path / "cache"),
                                store_backend="sqlite")
-        cold = run_study_sharded(shards=4, options=options)
-        warm = run_study_sharded(shards=4, options=options)
+        cold = run_study(CorpusSpec(), shards=4,
+                         shard_options=options)
+        warm = run_study(CorpusSpec(), shards=4,
+                         shard_options=options)
         assert canonical(cold.to_dict()) == canonical(base.to_dict())
         assert canonical(warm.to_dict()) == canonical(base.to_dict())
         assert total_hits(warm) > total_hits(cold)
@@ -194,7 +195,7 @@ class TestShardedStudyCli:
         str_json = str(tmp_path / "str.json")
         merged_json = str(tmp_path / "merged.json")
         run = run_cli(["study", "--apps", str(self.N_APPS),
-                       "--streaming", "--shards", "3",
+                       "--shards", "3",
                        "--out", shards, "--out-shards", "2",
                        "--json", str_json], env)
         assert run.returncode == 0, run.stdout + run.stderr

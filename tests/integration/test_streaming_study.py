@@ -136,7 +136,7 @@ class TestStreamingCli:
         str_json = str(tmp_path / "str.json")
         merged_json = str(tmp_path / "merged.json")
         run = run_cli(["study", "--apps", str(self.N_APPS),
-                       "--streaming", "--workers", "2",
+                       "--workers", "2",
                        "--out", shards, "--json", str_json], env)
         assert run.returncode == 0, run.stdout + run.stderr
         merge = run_cli(["merge-results", shards,
@@ -166,7 +166,7 @@ class TestStreamingCli:
         journal = str(tmp_path / "study.jsonl")
         crashed = str(tmp_path / "crashed")
         out_json = str(tmp_path / "out.json")
-        base = ["study", "--apps", str(self.N_APPS), "--streaming",
+        base = ["study", "--apps", str(self.N_APPS),
                 "--out", crashed, "--journal", journal,
                 "--json", out_json]
 
@@ -184,7 +184,7 @@ class TestStreamingCli:
         # an uninterrupted streaming run writes the very same bytes
         clean = str(tmp_path / "clean")
         third = run_cli(["study", "--apps", str(self.N_APPS),
-                         "--streaming", "--out", clean], env)
+                         "--out", clean], env)
         assert third.returncode == 0, third.stdout + third.stderr
         names = sorted(os.listdir(clean))
         assert names == sorted(os.listdir(crashed))
@@ -193,11 +193,16 @@ class TestStreamingCli:
                     open(os.path.join(clean, name), "rb") as b:
                 assert a.read() == b.read()
 
-    def test_out_requires_streaming(self, tmp_path):
-        run = run_cli(["study", "--apps", "4",
-                       "--out", str(tmp_path / "x")], cli_env())
-        assert run.returncode == 2
-        assert "--streaming" in run.stderr
+    def test_out_and_html_in_one_run(self, tmp_path):
+        shards = str(tmp_path / "shards")
+        html = tmp_path / "study.html"
+        run = run_cli(["study", "--apps", "8", "--out", shards,
+                       "--html", str(html)], cli_env())
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert f"wrote {html}" in run.stdout
+        assert "<html" in html.read_text(encoding="utf-8").lower()
+        merged = merge_study_results(shards)
+        assert merged.n_apps == 8
 
     def test_merge_results_rejects_torn_directory(self, tmp_path):
         run = run_cli(["merge-results", str(tmp_path)], cli_env())

@@ -9,7 +9,6 @@ from repro.pipeline.executor import BatchExecutor, BatchItemError
 
 
 def _reject_three(x):
-    """Module-level so process pools can pickle it."""
     if x == 3:
         raise RuntimeError("three is right out")
     return x
@@ -49,20 +48,15 @@ class TestBatchExecutor:
         assert BatchExecutor(workers=100).map(lambda x: x, [1, 2]) == \
             [1, 2]
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            BatchExecutor(kind="fiber")
-
 
 class TestFailureAttribution:
     """A worker exception names the input item that caused it,
-    whatever the executor kind."""
+    serial or threaded."""
 
     @pytest.mark.parametrize("executor", [
         BatchExecutor(),
         BatchExecutor(workers=2),
-        BatchExecutor(workers=2, kind="process"),
-    ], ids=["serial", "thread", "process"])
+    ], ids=["serial", "thread"])
     def test_failure_carries_index_and_item(self, executor):
         with pytest.raises(BatchItemError) as excinfo:
             executor.map(_reject_three, [0, 1, 2, 3, 4])

@@ -329,11 +329,10 @@ class TestPipelineFaults:
         assert excinfo.value.index == 1
 
 
-# -- executor error attribution (thread / process / serial) ---------------
+# -- executor error attribution (thread / serial) -------------------------
 
 
 def _double_or_boom(x):
-    """Module-level so process pools can pickle it."""
     if x < 0:
         raise ValueError(f"bad item {x}")
     return x * 2
@@ -354,14 +353,6 @@ class TestBatchExecutorFailures:
         assert excinfo.value.index == 1
         assert excinfo.value.item == -5
 
-    def test_process_failure_names_the_item(self):
-        with pytest.raises(BatchItemError) as excinfo:
-            BatchExecutor(workers=2, kind="process").map(
-                _double_or_boom, [1, 2, 3, -9])
-        assert excinfo.value.index == 3
-        assert excinfo.value.item == -9
-        assert isinstance(excinfo.value.__cause__, ValueError)
-
     def test_first_failing_index_wins(self):
         # both -1 and -2 fail; the earlier input index is reported
         with pytest.raises(BatchItemError) as excinfo:
@@ -370,7 +361,7 @@ class TestBatchExecutorFailures:
         assert excinfo.value.index == 0
 
     def test_healthy_batches_unchanged(self):
-        assert BatchExecutor(workers=2, kind="process").map(
+        assert BatchExecutor(workers=2).map(
             _double_or_boom, [1, 2, 3]) == [2, 4, 6]
 
 
