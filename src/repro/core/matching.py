@@ -10,7 +10,7 @@ The detectors drive the per-policy batch forms
 app probes a single interpreted-and-indexed view of the policy's
 phrases (one inverted-index pass per policy instead of one ESA sweep
 per pair), then each decision replays in the reference nested-loop
-order so the output stays byte-identical to the scalar plane.
+order so the output stays byte-identical to the per-pair scan.
 """
 
 from __future__ import annotations

@@ -11,29 +11,21 @@ primitive those hot paths memoize through:
   counters, registered in a process-wide registry so
   :meth:`repro.pipeline.artifacts.PipelineStats.nlp_caches` and the
   service ``/metrics`` endpoint can surface cache effectiveness.
-- :func:`memo_enabled` -- the escape hatch.  ``REPRO_NO_MEMO=1`` in
-  the environment (or :func:`set_memo_enabled` ``(False)`` in-process)
-  disables every memo cache and candidate-pruning fast path, restoring
-  the original compute-everything code paths.  The differential suite
-  (``tests/integration/test_hotpath_equivalence.py``) proves both
-  modes produce byte-identical detector output.
-- :func:`vector_enabled` -- the second escape hatch, for the
-  *representation* layer.  ``REPRO_NO_VECTOR=1`` (or
-  :func:`set_vector_enabled` ``(False)``) turns off the compiled
-  merge-join ESA data plane (:mod:`repro.semantics.compiled`) and
-  restores the original dict-of-dicts scalar plane.  The two hatches
-  are orthogonal: all four combinations run, and
-  ``tests/integration/test_vector_equivalence.py`` proves the study
-  output is byte-identical across them.
+- :func:`clear_caches` -- empty every live cache (test isolation and
+  cold benchmark phases).
+
+The caches are exact: a hit returns the very value a miss would have
+computed.  The test suite checks this by running the pipeline with
+:meth:`MemoCache.get` forced to miss (the ``no_memo`` fixture in
+``tests/conftest.py``) and byte-comparing the output.
 
 Caches hold values that callers treat as immutable (interpretation
-vectors, similarity floats, parsed dependency trees); nothing in the
+vectors, inverted-index views, parsed dependency trees); nothing in the
 pipeline mutates a cached object after construction.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -42,62 +34,14 @@ from typing import Any, Hashable
 #: sentinel distinguishing "never cached" from a cached ``None``
 MISS = object()
 
-#: environment variable that disables all memo caches and pruning
-NO_MEMO_ENV = "REPRO_NO_MEMO"
-
-#: environment variable that disables the compiled/merge-join ESA
-#: data plane (the scalar dict-of-dicts plane runs instead)
-NO_VECTOR_ENV = "REPRO_NO_VECTOR"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-#: in-process override: None defers to the environment
-_override: bool | None = None
-
-#: in-process override for the vector plane: None defers to the env
-_vector_override: bool | None = None
-
 _registry: list["weakref.ref[MemoCache]"] = []
 _registry_lock = threading.Lock()
-
-
-def memo_enabled() -> bool:
-    """Whether the memo caches and pruning fast paths are active."""
-    if _override is not None:
-        return _override
-    return os.environ.get(NO_MEMO_ENV, "").strip().lower() not in _TRUTHY
-
-
-def set_memo_enabled(flag: bool | None) -> None:
-    """Force memoization on/off in-process; ``None`` restores the
-    environment-variable control.  Used by the differential tests and
-    the benchmark harness."""
-    global _override
-    _override = flag
-
-
-def vector_enabled() -> bool:
-    """Whether the compiled merge-join ESA data plane is active.
-    ``REPRO_NO_VECTOR=1`` (or :func:`set_vector_enabled` ``(False)``)
-    selects the scalar dict-of-dicts plane instead."""
-    if _vector_override is not None:
-        return _vector_override
-    return os.environ.get(NO_VECTOR_ENV, "").strip().lower() \
-        not in _TRUTHY
-
-
-def set_vector_enabled(flag: bool | None) -> None:
-    """Force the vector plane on/off in-process; ``None`` restores
-    the environment-variable control."""
-    global _vector_override
-    _vector_override = flag
 
 
 class MemoCache:
     """A bounded, thread-safe LRU with hit/miss counters.
 
-    ``get`` returns :data:`MISS` when the key is absent *or* when
-    memoization is disabled (so callers need a single branch).  Caches
+    ``get`` returns :data:`MISS` when the key is absent.  Caches
     register themselves by name; :func:`cache_stats` aggregates live
     caches per name.
     """
@@ -113,8 +57,6 @@ class MemoCache:
             _registry.append(weakref.ref(self))
 
     def get(self, key: Hashable) -> Any:
-        if not memo_enabled():
-            return MISS
         with self._lock:
             if key not in self._entries:
                 self.misses += 1
@@ -124,8 +66,6 @@ class MemoCache:
             return self._entries[key]
 
     def put(self, key: Hashable, value: Any) -> None:
-        if not memo_enabled():
-            return
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
@@ -200,13 +140,7 @@ def clear_caches() -> None:
 
 __all__ = [
     "MISS",
-    "NO_MEMO_ENV",
-    "NO_VECTOR_ENV",
     "MemoCache",
-    "memo_enabled",
-    "set_memo_enabled",
-    "vector_enabled",
-    "set_vector_enabled",
     "cache_stats",
     "clear_caches",
 ]

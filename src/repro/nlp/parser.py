@@ -491,8 +491,8 @@ _PARSE_CACHE = MemoCache("nlp_parse", max_entries=16384)
 def parse(sentence: str | list[Token]) -> DependencyTree:
     """Parse a sentence (string or pre-tokenized) to a dependency tree.
 
-    String inputs are memoized process-wide (disable with
-    ``REPRO_NO_MEMO=1``); treat the returned tree as read-only.
+    String inputs are memoized process-wide in the ``nlp_parse``
+    cache; treat the returned tree as read-only.
     Pre-tokenized inputs always parse fresh -- their tags may differ
     from what the tagger would assign.
     """

@@ -1,16 +1,15 @@
 """The compiled ESA knowledge base: packed arrays + binary artifact.
 
-The scalar ESA plane keeps the knowledge base as a dict-of-dicts
-(``term -> {concept_id: weight}``).  This module compiles that
-representation into packed parallel arrays -- a CSR-style layout of
-``(offsets, concept_ids, weights)`` over a sorted term table -- that
-the merge-join data plane (:mod:`repro.semantics.esa`) walks instead
-of hashing dict keys:
+This module compiles the concept articles' per-term TF-IDF vectors
+(``term -> {concept_id: weight}``) into packed parallel arrays -- a
+CSR-style layout of ``(offsets, concept_ids, weights)`` over a sorted
+term table -- that the merge-join matcher (:mod:`repro.semantics.esa`)
+walks instead of hashing dict keys:
 
 - :func:`compile_kb` builds a :class:`CompiledKB` from the concept
   articles with *bit-identical* TF-IDF floats: same accumulation and
-  normalization order as the historical dict build, so the two planes
-  agree to the last ulp.
+  normalization order as the historical dict build, so every
+  similarity agrees with the dict-cosine test oracle to the last ulp.
 - :meth:`CompiledKB.to_bytes` / :meth:`CompiledKB.from_bytes` persist
   the compiled base (plus its inverted layout) as a versioned binary
   artifact: magic, schema version, byte order, CRC-32 checksum, then
@@ -158,17 +157,6 @@ class CompiledKB:
         if tid is None:
             return None
         return self.offsets[tid], self.offsets[tid + 1]
-
-    def term_vector_dicts(self) -> dict[str, dict[int, float]]:
-        """The dict-of-dicts view the scalar plane runs on.  Keys are
-        in ascending concept-id order (the canonical order both
-        planes sum in)."""
-        out: dict[str, dict[int, float]] = {}
-        for tid, term in enumerate(self.terms):
-            start, end = self.offsets[tid], self.offsets[tid + 1]
-            out[term] = dict(zip(self.cids[start:end],
-                                 self.weights[start:end]))
-        return out
 
     # -- serialization -----------------------------------------------------
 

@@ -9,28 +9,23 @@ PPChecker uses ``Similarity(a, b) > threshold`` with ``threshold =
 0.67`` (following AutoCog) to decide whether two information phrases
 refer to the same thing.
 
-Two data planes serve that predicate, both exact and bit-identical:
-
-- the **compiled plane** (default): the knowledge base is compiled
-  into packed parallel arrays (:mod:`repro.semantics.compiled`),
-  interpretation vectors are sorted ``(concept_id, weight)`` arrays,
-  and :func:`_merge_cosine` walks the two sorted arrays instead of
-  hashing dict keys.  The batch entry points
-  (:meth:`EsaModel.match_sets`, :meth:`EsaModel.any_match`,
-  :meth:`EsaModel.similarity_many`, :meth:`EsaModel.group_hits`)
-  interpret every distinct text once per call and drive one inverted
-  concept-index pass per policy, so cold runs -- where the memo LRUs
-  cannot help -- stop paying per-pair re-interpretation.
-- the **scalar plane** (``REPRO_NO_VECTOR=1``): the historical
-  dict-of-dicts representation and nested-loop matchers, kept fully
-  runnable as the differential reference.
+The knowledge base is compiled into packed parallel arrays
+(:mod:`repro.semantics.compiled`), interpretation vectors are sorted
+``(concept_id, weight)`` arrays, and :func:`_merge_cosine` walks two
+sorted arrays with two pointers.  The batch entry points
+(:meth:`EsaModel.match_sets`, :meth:`EsaModel.any_match`,
+:meth:`EsaModel.similarity_many`, :meth:`EsaModel.group_hits`)
+interpret every distinct text once per call and drive one inverted
+concept-index pass per policy; pairs that share no concept have
+cosine exactly 0 and are never scored.
 
 All vectors sum in *ascending concept-id order* (the canonical
-order), which is what makes the two planes agree to the last ulp; the
-differential suite (``tests/integration/test_vector_equivalence.py``)
-proves study output is byte-identical across vectorized, scalar, and
-``REPRO_NO_MEMO=1`` runs.  Memoization (:mod:`repro.memo`) layers on
-top of either plane.
+order), so every float is reproducible to the last ulp.  The test
+suite keeps the historical dict-of-dicts cosine and compute-every-pair
+matchers as an oracle (``tests/semantics/esa_reference.py``) and
+byte-compares study output against it.  Two bounded memo caches
+(:mod:`repro.memo`) sit on top: interpretations per normalized text
+and inverted-index views per distinct text tuple.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.memo import MISS, MemoCache, memo_enabled, vector_enabled
+from repro.memo import MISS, MemoCache
 from repro.semantics.compiled import (
     CompiledKB,
     compile_kb,
@@ -57,29 +52,15 @@ def _norm_key(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _cosine(key_a: str, vec_a: dict[int, float],
-            key_b: str, vec_b: dict[int, float]) -> float:
-    """Scalar-plane dot product of two L2-normalized sparse vectors,
-    clamped to [0, 1].  The iteration order is canonical (smaller
-    vector first, ties broken by key; keys ascend within a vector) so
-    the float result is independent of the argument order -- a
-    prerequisite for the symmetric pair cache *and* for agreeing
-    bitwise with :func:`_merge_cosine`."""
-    if (len(vec_b), key_b) < (len(vec_a), key_a):
-        vec_a, vec_b = vec_b, vec_a
-    dot = sum(w * vec_b.get(c, 0.0) for c, w in vec_a.items())
-    return max(0.0, min(1.0, dot))
-
-
 def _merge_cosine(cids_a: list[int], weights_a: list[float],
                   cids_b: list[int], weights_b: list[float]) -> float:
-    """Compiled-plane dot product: a two-pointer merge join over two
-    ascending ``(concept_id, weight)`` arrays, clamped to [0, 1].
+    """Dot product of two L2-normalized sparse vectors: a two-pointer
+    merge join over two ascending ``(concept_id, weight)`` arrays,
+    clamped to [0, 1].
 
-    Shared concepts are summed in ascending concept-id order -- the
-    same order :func:`_cosine` sums canonical vectors in (its extra
-    ``w * 0.0`` terms are exact no-ops) -- so the two kernels agree
-    bit-for-bit, and the join is symmetric by construction."""
+    Shared concepts are summed in ascending concept-id order, so the
+    join is symmetric by construction and equals, bit for bit, a dict
+    cosine that sums canonical vectors in the same order."""
     i = j = 0
     len_a = len(cids_a)
     len_b = len(cids_b)
@@ -99,26 +80,19 @@ def _merge_cosine(cids_a: list[int], weights_a: list[float],
 
 
 class Interp:
-    """One memoized interpretation: the canonical sparse dict plus
-    lazily-derived sorted parallel arrays.  Shared across callers and
+    """One memoized interpretation: sorted parallel
+    ``(concept_ids, weights)`` arrays.  Shared across callers and
     treated as immutable."""
 
-    __slots__ = ("key", "vec", "_cids", "_weights")
+    __slots__ = ("cids", "weights")
 
-    def __init__(self, key: str, vec: dict[int, float]) -> None:
-        self.key = key
-        self.vec = vec
-        self._cids: list[int] | None = None
-        self._weights: list[float] | None = None
+    def __init__(self, cids: list[int], weights: list[float]) -> None:
+        self.cids = cids
+        self.weights = weights
 
-    def arrays(self) -> tuple[list[int], list[float]]:
-        """``(concept_ids, weights)`` sorted ascending.  The dict is
-        built in ascending concept-id order, so this is a straight
-        materialization, not a re-sort."""
-        if self._cids is None:
-            self._cids = list(self.vec)
-            self._weights = list(self.vec.values())
-        return self._cids, self._weights
+
+def _pair_sim(a: Interp, b: Interp) -> float:
+    return _merge_cosine(a.cids, a.weights, b.cids, b.weights)
 
 
 @dataclass
@@ -130,16 +104,12 @@ class EsaModel:
     #: precompiled knowledge base; compiled from ``articles`` when not
     #: supplied (``default_model`` loads it from the binary artifact)
     kb: CompiledKB | None = field(default=None, repr=False)
-    _term_vectors: dict[str, dict[int, float]] = field(
-        default_factory=dict, repr=False
-    )
     _concepts: list[str] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         # bounded memo caches (see repro.memo); texts repeat massively
         # across apps, so both have study-scale hit rates
         self._interp_cache = MemoCache("esa_interpret")
-        self._sim_cache = MemoCache("esa_similarity", max_entries=262144)
         # batch side-views: one (interps, inverted index) per distinct
         # text tuple -- the surface lists and policy phrase pools the
         # detectors probe with repeat across thousands of calls
@@ -148,9 +118,6 @@ class EsaModel:
         if self.kb is None:
             self.kb = compile_kb(self.articles)
         self._concepts = list(self.kb.concepts)
-        # the scalar plane's dict-of-dicts view, derived from the same
-        # compiled floats so REPRO_NO_VECTOR=1 stays bit-identical
-        self._term_vectors = self.kb.term_vector_dicts()
 
     def fingerprint(self) -> str:
         """Content hash of the knowledge base + threshold (part of
@@ -167,43 +134,20 @@ class EsaModel:
         keys ascending).
 
         Returns a fresh dict; the memoized vector stays private."""
-        return dict(self._interp(text).vec)
+        interp = self._interp(text)
+        return dict(zip(interp.cids, interp.weights))
 
-    def _compute_interpret(self, text: str) -> dict[int, float]:
-        """Centroid of the text's term vectors, canonicalized to
-        ascending concept-id order (accumulation per concept follows
-        term order; the norm sums ascending)."""
-        terms = _terms(text)
-        if not terms:
-            return {}
-        if vector_enabled():
-            return self._accumulate_compiled(terms)
-        acc: dict[int, float] = {}
-        for term in terms:
-            vec = self._term_vectors.get(term)
-            if vec is None:
-                continue
-            for cidx, weight in vec.items():
-                acc[cidx] = acc.get(cidx, 0.0) + weight
-        if not acc:
-            return {}
-        items = sorted(acc.items())
-        norm = math.sqrt(sum(w * w for _, w in items))
-        if norm == 0.0:
-            return {}
-        return {c: w / norm for c, w in items}
-
-    def _accumulate_compiled(self, terms: list[str]) -> dict[int, float]:
-        """Compiled-plane accumulation: dense per-concept sums driven
-        by the packed KB arrays.  Per-concept addition order (term
-        order) and the ascending-order norm match the dict plane, so
-        the floats are bit-identical."""
+    def _compute_interpret(self, text: str) -> Interp:
+        """Centroid of the text's term vectors: dense per-concept sums
+        driven by the packed KB arrays (per-concept addition follows
+        term order), then L2-normalized with the norm summed in
+        ascending concept-id order."""
         kb = self.kb
         offsets, cids, weights = kb.offsets, kb.cids, kb.weights
         term_index = kb.term_index
         acc = [0.0] * len(self._concepts)
         touched = False
-        for term in terms:
+        for term in _terms(text):
             tid = term_index.get(term)
             if tid is None:
                 continue
@@ -211,12 +155,13 @@ class EsaModel:
             for k in range(offsets[tid], offsets[tid + 1]):
                 acc[cids[k]] += weights[k]
         if not touched:
-            return {}
-        items = [(c, w) for c, w in enumerate(acc) if w != 0.0]
-        norm = math.sqrt(sum(w * w for _, w in items))
+            return Interp([], [])
+        hit = [c for c, w in enumerate(acc) if w != 0.0]
+        sums = [acc[c] for c in hit]
+        norm = math.sqrt(sum(w * w for w in sums))
         if norm == 0.0:
-            return {}
-        return {c: w / norm for c, w in items}
+            return Interp([], [])
+        return Interp(hit, [w / norm for w in sums])
 
     def _interp(self, text: str) -> Interp:
         """The memoized :class:`Interp` of *text* (shared; treat as
@@ -224,17 +169,16 @@ class EsaModel:
         key = _norm_key(text)
         interp = self._interp_cache.get(key)
         if interp is MISS:
-            interp = Interp(key, self._compute_interpret(text))
+            interp = self._compute_interpret(text)
             self._interp_cache.put(key, interp)
         return interp
 
     def _interp_local(self, text: str,
                       local: dict[str, Interp]) -> Interp:
         """Per-call interpretation dedup: within one batch call every
-        distinct text interprets once even with the memo LRUs
-        disabled (reuse is exact -- same raw text, same normalized
-        key, same vector).  Keyed on the raw string so repeats skip
-        :func:`_norm_key` entirely."""
+        distinct text interprets once, even after an LRU eviction.
+        Keyed on the raw string so repeats skip :func:`_norm_key` and
+        the cache lock entirely."""
         interp = local.get(text)
         if interp is None:
             interp = self._interp(text)
@@ -247,9 +191,7 @@ class EsaModel:
         list, memoized per distinct tuple: the surface lists and
         policy phrase pools the batch entry points probe with repeat
         across thousands of calls, so a cold study run builds each
-        view once instead of once per call.  With memoization
-        disabled the view rebuilds per call (through the per-call
-        local dedup), which is the same exact computation."""
+        view once instead of once per call."""
         key = tuple(texts)
         view = self._group_cache.get(key)
         if view is MISS:
@@ -258,29 +200,9 @@ class EsaModel:
             self._group_cache.put(key, view)
         return view
 
-    def _pair_sim(self, a: Interp, b: Interp) -> float:
-        if not a.vec or not b.vec:
-            return 0.0
-        pair = (a.key, b.key) if a.key <= b.key else (b.key, a.key)
-        cached = self._sim_cache.get(pair)
-        if cached is not MISS:
-            return cached
-        if vector_enabled():
-            cids_a, weights_a = a.arrays()
-            cids_b, weights_b = b.arrays()
-            sim = _merge_cosine(cids_a, weights_a, cids_b, weights_b)
-        elif memo_enabled() and a.vec.keys().isdisjoint(b.vec.keys()):
-            # shared-concept prune: disjoint sparse supports have an
-            # exactly-zero dot product, so skipping the sum is exact
-            sim = 0.0
-        else:
-            sim = _cosine(a.key, a.vec, b.key, b.vec)
-        self._sim_cache.put(pair, sim)
-        return sim
-
     def similarity(self, text_a: str, text_b: str) -> float:
         """Cosine similarity of the two interpretation vectors in [0, 1]."""
-        return self._pair_sim(self._interp(text_a), self._interp(text_b))
+        return _pair_sim(self._interp(text_a), self._interp(text_b))
 
     def same_thing(self, text_a: str, text_b: str,
                    threshold: float | None = None) -> bool:
@@ -296,29 +218,26 @@ class EsaModel:
         *text* once (and each distinct candidate once).  Agrees
         pairwise with :meth:`similarity`."""
         interp = self._interp(text)
-        if vector_enabled():
-            local: dict[str, Interp] = {}
-            return [self._pair_sim(interp,
-                                   self._interp_local(c, local))
-                    for c in candidates]
-        return [self._pair_sim(interp, self._interp(c))
+        local: dict[str, Interp] = {}
+        return [_pair_sim(interp, self._interp_local(c, local))
                 for c in candidates]
 
-    def _inverted_index(self, interps: list[Interp],
-                        ) -> dict[int, list[int]]:
+    @staticmethod
+    def _inverted_index(interps: list[Interp]) -> dict[int, list[int]]:
         """concept id -> indexes of the interps containing it."""
         index: dict[int, list[int]] = {}
         for j, interp in enumerate(interps):
-            for concept in interp.vec:
+            for concept in interp.cids:
                 index.setdefault(concept, []).append(j)
         return index
 
-    def _candidates(self, interp: Interp,
+    @staticmethod
+    def _candidates(interp: Interp,
                     index: dict[int, list[int]]) -> list[int]:
         """Shared-concept candidates, ascending.  Skipped indexes
         have cosine exactly 0; exact for any ``threshold >= 0``."""
         return sorted({
-            j for concept in interp.vec
+            j for concept in interp.cids
             for j in index.get(concept, ())
         })
 
@@ -327,24 +246,12 @@ class EsaModel:
         """Is any (a, b) pair above the threshold?  Early-exits on the
         first hit; equals ``any(same_thing(a, b) for a for b)``."""
         limit = self.threshold if threshold is None else threshold
-        if vector_enabled():
-            local: dict[str, Interp] = {}
-            interps_a, index_a = self._group_view(texts_a, local)
-            for text_b in texts_b:
-                interp_b = self._interp_local(text_b, local)
-                if not interp_b.vec:
-                    continue
-                for i in self._candidates(interp_b, index_a):
-                    if self._pair_sim(interps_a[i], interp_b) > limit:
-                        return True
-            return False
-        interps_b = [self._interp(t) for t in texts_b]
-        for text_a in texts_a:
-            interp_a = self._interp(text_a)
-            if not interp_a.vec:
-                continue
-            for interp_b in interps_b:
-                if self._pair_sim(interp_a, interp_b) > limit:
+        local: dict[str, Interp] = {}
+        interps_a, index_a = self._group_view(texts_a, local)
+        for text_b in texts_b:
+            interp_b = self._interp_local(text_b, local)
+            for i in self._candidates(interp_b, index_a):
+                if _pair_sim(interps_a[i], interp_b) > limit:
                     return True
         return False
 
@@ -355,50 +262,25 @@ class EsaModel:
         threshold, ordered by ``(i, j)`` -- the order of the nested
         reference loop, so first-hit call sites stay byte-identical.
 
-        On the compiled plane (and on the scalar plane with
-        memoization enabled), candidates are pruned through a
-        shared-concept inverted index: a pair whose vectors share no
-        concept has cosine exactly 0 and is never scored.  The
-        pruning is exact for any ``threshold >= 0``.  The compiled
-        plane indexes *texts_a* (the repeated side -- memoized per
-        distinct tuple) and walks *texts_b*; hits sort back into the
-        reference ``(i, j)`` order, and each pair's similarity is the
-        canonical :func:`_merge_cosine` value, so the output is
-        byte-identical regardless of the scan direction.
+        Candidates are pruned through a shared-concept inverted index
+        over *texts_a* (the repeated side, memoized per distinct
+        tuple): a pair whose vectors share no concept has cosine
+        exactly 0 and is never scored, which is exact for any
+        ``threshold >= 0``.  Hits sort back into ``(i, j)`` order and
+        each similarity is the symmetric :func:`_merge_cosine` value,
+        so the scan direction does not show in the output.
         """
         limit = self.threshold if threshold is None else threshold
-        if vector_enabled():
-            local: dict[str, Interp] = {}
-            interps_a, index_a = self._group_view(texts_a, local)
-            out: list[tuple[int, int, float]] = []
-            for j, text_b in enumerate(texts_b):
-                interp_b = self._interp_local(text_b, local)
-                if not interp_b.vec:
-                    continue
-                for i in self._candidates(interp_b, index_a):
-                    sim = self._pair_sim(interps_a[i], interp_b)
-                    if sim > limit:
-                        out.append((i, j, sim))
-            out.sort(key=lambda hit: (hit[0], hit[1]))
-            return out
-        out = []
-        if not memo_enabled():
-            for i, text_a in enumerate(texts_a):
-                for j, text_b in enumerate(texts_b):
-                    sim = self.similarity(text_a, text_b)
-                    if sim > limit:
-                        out.append((i, j, sim))
-            return out
-        interps_b = [self._interp(t) for t in texts_b]
-        index = self._inverted_index(interps_b)
-        for i, text_a in enumerate(texts_a):
-            interp_a = self._interp(text_a)
-            if not interp_a.vec:
-                continue
-            for j in self._candidates(interp_a, index):
-                sim = self._pair_sim(interp_a, interps_b[j])
+        local: dict[str, Interp] = {}
+        interps_a, index_a = self._group_view(texts_a, local)
+        out: list[tuple[int, int, float]] = []
+        for j, text_b in enumerate(texts_b):
+            interp_b = self._interp_local(text_b, local)
+            for i in self._candidates(interp_b, index_a):
+                sim = _pair_sim(interps_a[i], interp_b)
                 if sim > limit:
                     out.append((i, j, sim))
+        out.sort(key=lambda hit: (hit[0], hit[1]))
         return out
 
     def group_hits(self, groups: list[list[str]], texts_b: list[str],
@@ -414,39 +296,28 @@ class EsaModel:
         if any_match(group, [b])}``.
         """
         limit = self.threshold if threshold is None else threshold
-        if not vector_enabled():
-            out: list[set[int]] = []
-            for group in groups:
-                hits: set[int] = set()
-                for j, text_b in enumerate(texts_b):
-                    for text_a in group:
-                        if self.similarity(text_a, text_b) > limit:
-                            hits.add(j)
-                            break
-                out.append(hits)
-            return out
         local: dict[str, Interp] = {}
         interps_b, index_b = self._group_view(texts_b, local)
-        out = []
+        out: list[set[int]] = []
         for group in groups:
-            hits = set()
+            hits: set[int] = set()
             for text_a in group:
                 interp_a = self._interp_local(text_a, local)
-                if not interp_a.vec:
-                    continue
                 for j in self._candidates(interp_a, index_b):
                     if j in hits:
                         continue
-                    if self._pair_sim(interp_a, interps_b[j]) > limit:
+                    if _pair_sim(interp_a, interps_b[j]) > limit:
                         hits.add(j)
             out.append(hits)
         return out
 
     def cache_info(self) -> dict[str, dict[str, int]]:
-        """Hit/miss/size counters of this model's memo caches."""
+        """Hit/miss/size counters of this model's memo caches (the
+        ``esa_interpret`` and ``esa_group_index`` rows of
+        :func:`repro.memo.cache_stats`)."""
         return {
             "interpret": self._interp_cache.stats(),
-            "similarity": self._sim_cache.stats(),
+            "group_index": self._group_cache.stats(),
         }
 
     def top_concepts(self, text: str, k: int = 3) -> list[tuple[str, float]]:

@@ -21,8 +21,10 @@ import os
 import pytest
 
 from repro.core.checker import PPChecker
+from repro.core.matching import InfoMatcher
 from repro.core.schema import versioned
-from repro.memo import clear_caches, set_vector_enabled
+from repro.description.autocog import AutoCog
+from tests.semantics.esa_reference import ReferenceEsa
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "goldens")
@@ -83,21 +85,19 @@ def test_golden_payload(label, rendered, request):
 @pytest.mark.parametrize("label", CASES)
 def test_golden_holds_on_scalar_plane(label, rendered, mid_store,
                                       request):
-    """The goldens pin the *vectorized* (default) plane; the scalar
-    ``REPRO_NO_VECTOR=1`` plane must print the same bytes."""
+    """The goldens pin the compiled (default) ESA model; the
+    dict-cosine oracle must print the same bytes."""
     if request.config.getoption("--update-goldens"):
         pytest.skip("goldens being rewritten")
     picks = pick_case_apps(mid_store)
-    checker = PPChecker(lib_policy_source=mid_store.lib_policy)
-    set_vector_enabled(False)
-    clear_caches()
-    try:
-        report = checker.check(picks[label].bundle)
-        scalar = json.dumps(versioned(report.to_dict()),
-                            indent=2, sort_keys=True) + "\n"
-    finally:
-        set_vector_enabled(None)
-        clear_caches()
+    oracle = ReferenceEsa()
+    checker = PPChecker(lib_policy_source=mid_store.lib_policy,
+                        autocog=AutoCog(esa=oracle),
+                        matcher=InfoMatcher(esa=oracle))
+    report = checker.check(picks[label].bundle)
+    assert oracle.calls > 0
+    scalar = json.dumps(versioned(report.to_dict()),
+                        indent=2, sort_keys=True) + "\n"
     assert scalar == rendered[label]
     path = os.path.join(GOLDEN_DIR, f"{label}.json")
     with open(path, encoding="utf-8") as handle:

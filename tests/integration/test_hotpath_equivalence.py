@@ -1,74 +1,84 @@
 """Differential suite: the hot-path caches never change the output.
 
 The ESA/NLP memoization layer (:mod:`repro.memo`) promises that every
-fast path -- interpretation/similarity LRUs, shared-concept pruning,
-the parse cache, the batch matchers -- is *exact*.  These tests prove
-it the strong way: the JSON the user sees is byte-identical with the
-caches on and with ``REPRO_NO_MEMO=1``.
+cache -- interpretation and group-view LRUs, the parse cache -- is
+*exact*.  These tests prove it the strong way: the text the user sees
+is byte-identical on the default configuration and under the
+``no_memo`` fixture, which forces every :class:`~repro.memo.MemoCache`
+lookup to miss.
 
-Covered surfaces:
+Covered surfaces, all in-process:
 
-- ``run_study`` over the seeded 64-app corpus slice (in-process,
-  toggled via :func:`repro.memo.set_memo_enabled`);
-- ``python -m repro.cli check BUNDLE --json`` as a real subprocess,
-  with and without ``REPRO_NO_MEMO=1`` in the environment, over
-  corpus bundles exhibiting each problem type;
+- ``run_study`` over the seeded 64-app corpus slice;
+- ``repro.cli.main(["check", BUNDLE, "--json"])`` over corpus bundles
+  exhibiting each problem type;
 - the ``quickstart.py`` example's stdout.
+
+The default-configuration outputs are computed once per module,
+before any test switches the caches off.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
-import subprocess
-import sys
+import runpy
 
 import pytest
 
 from repro.android.serialization import save_bundle
+from repro.cli import main as cli_main
 from repro.core.checker import PPChecker
+from repro.core.matching import InfoMatcher
 from repro.core.schema import versioned
 from repro.core.study import run_study
-from repro.memo import NO_MEMO_ENV, clear_caches, set_memo_enabled
+from repro.description.autocog import AutoCog
+from repro.memo import cache_stats, clear_caches
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
-SRC_DIR = os.path.join(REPO_ROOT, "src")
 
 
-@pytest.fixture
-def memo_toggle():
-    """Restore the environment-controlled memo state afterwards."""
-    yield set_memo_enabled
-    set_memo_enabled(None)
+def study_json(store, esa=None) -> str:
+    """Canonical JSON of a fresh-checker study over *store*; a given
+    *esa* model replaces the default one in the checker's matchers."""
     clear_caches()
+    seams = {} if esa is None else {"autocog": AutoCog(esa=esa),
+                                    "matcher": InfoMatcher(esa=esa)}
+    checker = PPChecker(lib_policy_source=store.lib_policy, **seams)
+    result = run_study(store, checker=checker)
+    return json.dumps(versioned(result.to_dict()), sort_keys=True)
 
 
-def subprocess_env(no_memo: bool) -> dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONHASHSEED"] = "0"
-    env.pop(NO_MEMO_ENV, None)
-    if no_memo:
-        env[NO_MEMO_ENV] = "1"
-    return env
+def check_json(bundle_path: str) -> str:
+    """What ``check BUNDLE --json`` prints, run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["check", bundle_path, "--json"]) == 0
+    return out.getvalue()
 
 
-class TestStudyEquivalence:
-    def run_study_json(self, store, enabled: bool) -> str:
-        set_memo_enabled(enabled)
-        clear_caches()
-        checker = PPChecker(lib_policy_source=store.lib_policy)
-        result = run_study(store, checker=checker)
-        return json.dumps(versioned(result.to_dict()), sort_keys=True)
-
-    def test_study_byte_identical(self, small_store, memo_toggle):
-        memoized = self.run_study_json(small_store, enabled=True)
-        plain = self.run_study_json(small_store, enabled=False)
-        assert memoized == plain
+def quickstart_out() -> str:
+    """What ``python examples/quickstart.py`` prints, run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(os.path.join(REPO_ROOT, "examples",
+                                    "quickstart.py"),
+                       run_name="__main__")
+    return out.getvalue()
 
 
-def problem_bundle_paths(store, tmp_path) -> list[str]:
+def memo_hits() -> int:
+    """Hits over the ESA and parse memo caches since the last
+    :func:`clear_caches`."""
+    stats = cache_stats()
+    return sum(stats[name]["hits"] for name in
+               ("esa_interpret", "esa_group_index", "nlp_parse"))
+
+
+def problem_bundle_paths(store, directory) -> list[str]:
     """One serialized bundle per planted problem type, plus a clean
     app, from the seeded corpus."""
     picks: dict[str, object] = {}
@@ -89,43 +99,45 @@ def problem_bundle_paths(store, tmp_path) -> list[str]:
             break
     paths = []
     for label, app in sorted(picks.items()):
-        path = str(tmp_path / f"{label}.json")
+        path = str(directory / f"{label}.json")
         save_bundle(app.bundle, path)
         paths.append(path)
     return paths
 
 
-class TestCliCheckEquivalence:
-    def check_json(self, bundle_path: str, no_memo: bool) -> bytes:
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "check", bundle_path,
-             "--json"],
-            capture_output=True, cwd=REPO_ROOT,
-            env=subprocess_env(no_memo), timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        return proc.stdout
+@pytest.fixture(scope="module")
+def default_check(mid_store, tmp_path_factory):
+    """bundle path -> ``check --json`` text on the default config."""
+    paths = problem_bundle_paths(mid_store,
+                                 tmp_path_factory.mktemp("bundles"))
+    assert len(paths) == 4
+    return {path: check_json(path) for path in paths}
 
-    def test_check_json_byte_identical(self, mid_store, tmp_path):
-        paths = problem_bundle_paths(mid_store, tmp_path)
-        assert len(paths) == 4
-        for path in paths:
-            memoized = self.check_json(path, no_memo=False)
-            plain = self.check_json(path, no_memo=True)
+
+class TestStudyEquivalence:
+    @pytest.fixture(scope="class")
+    def memoized(self, small_store):
+        return study_json(small_store)
+
+    def test_study_byte_identical(self, small_store, memoized, no_memo):
+        plain = study_json(small_store)
+        assert memo_hits() == 0  # every lookup really missed
+        assert memoized == plain
+
+
+class TestCliCheckEquivalence:
+    def test_check_json_byte_identical(self, default_check, no_memo):
+        for path, memoized in default_check.items():
+            plain = check_json(path)
             assert memoized == plain, path
             payload = json.loads(memoized)
             assert payload["schema_version"] == 1
 
 
 class TestExampleEquivalence:
-    def quickstart_out(self, no_memo: bool) -> bytes:
-        proc = subprocess.run(
-            [sys.executable, os.path.join("examples", "quickstart.py")],
-            capture_output=True, cwd=REPO_ROOT,
-            env=subprocess_env(no_memo), timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        return proc.stdout
+    @pytest.fixture(scope="class")
+    def memoized(self):
+        return quickstart_out()
 
-    def test_quickstart_byte_identical(self):
-        assert self.quickstart_out(False) == self.quickstart_out(True)
+    def test_quickstart_byte_identical(self, memoized, no_memo):
+        assert memoized == quickstart_out()

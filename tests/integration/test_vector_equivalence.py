@@ -1,125 +1,104 @@
-"""Differential suite: the compiled data plane never changes output.
+"""Differential suite: the compiled ESA matcher never changes output.
 
-The vectorized ESA representation (:mod:`repro.semantics.compiled`
-plus the merge-join/batched matchers in :mod:`repro.semantics.esa`)
-promises bitwise exactness, orthogonally to the memoization layer.
-These tests prove it the strong way over the real pipeline: the JSON
-the user sees is byte-identical across every combination of
-``REPRO_NO_VECTOR`` and ``REPRO_NO_MEMO``.
+The production ESA model (:mod:`repro.semantics.compiled` packed
+arrays plus the merge-join/batched matchers in
+:mod:`repro.semantics.esa`) promises bitwise exactness.  These tests
+prove it the strong way over the real pipeline: the JSON the user sees
+is byte-identical when every ESA decision is made instead by
+:class:`~tests.semantics.esa_reference.ReferenceEsa` -- the dict
+cosine and compute-every-pair loops, with no caches -- and when the
+memo caches are switched off as well (the ``no_memo`` fixture).
 
-Covered surfaces:
+Covered surfaces, all in-process:
 
-- ``run_study`` over the seeded 64-app slice across all four
-  vector x memo combinations (in-process toggles);
-- ``run_study`` over the complete 1,197-app corpus, vectorized vs.
-  scalar vs. scalar-no-memo (the ``slow`` lane);
-- ``python -m repro.cli check BUNDLE --json`` as a real subprocess
-  with ``REPRO_NO_VECTOR=1`` in the environment, over bundles
-  exhibiting each problem type.
+- ``run_study`` over the seeded 64-app slice: default, oracle,
+  ``no_memo``, and oracle + ``no_memo`` (the oracle injected through
+  ``InfoMatcher(esa=...)`` / ``AutoCog(esa=...)``);
+- ``run_study`` over the complete 1,197-app corpus, default vs.
+  oracle vs. oracle + ``no_memo`` (the ``slow`` lane);
+- ``repro.cli.main(["check", BUNDLE, "--json"])`` over bundles
+  exhibiting each problem type, with the oracle installed as the
+  process default model.
+
+Every oracle-side run asserts ``ReferenceEsa.calls`` moved, so a
+wiring mistake cannot pass vacuously.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-from repro.core.checker import PPChecker
-from repro.core.schema import versioned
-from repro.core.study import run_study
-from repro.memo import (
-    NO_MEMO_ENV,
-    NO_VECTOR_ENV,
-    clear_caches,
-    set_memo_enabled,
-    set_vector_enabled,
-)
+from repro.memo import cache_stats
 from tests.integration.test_hotpath_equivalence import (
+    check_json,
     problem_bundle_paths,
-    subprocess_env,
+    study_json,
 )
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
+from tests.semantics.esa_reference import ReferenceEsa
 
 
-@pytest.fixture
-def plane_toggle():
-    """Restore the environment-controlled plane + memo state."""
-    yield
-    set_vector_enabled(None)
-    set_memo_enabled(None)
-    clear_caches()
+@pytest.fixture(scope="module")
+def default_check(mid_store, tmp_path_factory):
+    """bundle path -> ``check --json`` text on the default model."""
+    paths = problem_bundle_paths(mid_store,
+                                 tmp_path_factory.mktemp("bundles"))
+    assert len(paths) == 4
+    return {path: check_json(path) for path in paths}
 
 
-def study_json(store, vector: bool, memo: bool) -> str:
-    set_vector_enabled(vector)
-    set_memo_enabled(memo)
-    clear_caches()
-    checker = PPChecker(lib_policy_source=store.lib_policy)
-    result = run_study(store, checker=checker)
-    return json.dumps(versioned(result.to_dict()), sort_keys=True)
+def oracle_study_json(store, oracle: ReferenceEsa) -> str:
+    """``study_json`` with *oracle* making every ESA decision."""
+    before = oracle.calls
+    out = study_json(store, esa=oracle)
+    assert oracle.calls > before
+    # the production model was never consulted
+    stats = cache_stats()
+    assert stats["esa_interpret"]["hits"] + \
+        stats["esa_interpret"]["misses"] == 0
+    return out
 
 
 class TestStudyEquivalence:
-    def test_all_four_planes_byte_identical(self, small_store,
-                                            plane_toggle):
-        reference = study_json(small_store, vector=False, memo=False)
-        for vector, memo in ((True, False), (True, True),
-                             (False, True)):
-            assert study_json(small_store, vector, memo) \
-                == reference, (vector, memo)
+    @pytest.fixture(scope="class")
+    def vectorized(self, small_store):
+        return study_json(small_store)
+
+    def test_all_four_planes_byte_identical(self, small_store, vectorized,
+                                            request):
+        oracle = ReferenceEsa()
+        assert oracle_study_json(small_store, oracle) == vectorized
+        request.getfixturevalue("no_memo")
+        assert study_json(small_store) == vectorized
+        assert oracle_study_json(small_store, oracle) == vectorized
 
     @pytest.mark.slow
-    def test_full_study_byte_identical(self, full_store, plane_toggle):
-        vectorized = study_json(full_store, vector=True, memo=True)
-        scalar = study_json(full_store, vector=False, memo=True)
-        plain = study_json(full_store, vector=False, memo=False)
+    def test_full_study_byte_identical(self, full_store, request):
+        oracle = ReferenceEsa()
+        vectorized = study_json(full_store)
+        scalar = oracle_study_json(full_store, oracle)
+        request.getfixturevalue("no_memo")
+        plain = oracle_study_json(full_store, oracle)
         assert vectorized == scalar
         assert vectorized == plain
 
 
-def vector_subprocess_env(no_vector: bool) -> dict[str, str]:
-    env = subprocess_env(no_memo=False)
-    env.pop(NO_VECTOR_ENV, None)
-    if no_vector:
-        env[NO_VECTOR_ENV] = "1"
-    return env
-
-
 class TestCliCheckEquivalence:
-    def check_json(self, bundle_path: str, no_vector: bool) -> bytes:
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "check", bundle_path,
-             "--json"],
-            capture_output=True, cwd=REPO_ROOT,
-            env=vector_subprocess_env(no_vector), timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        return proc.stdout
-
-    def test_check_json_byte_identical(self, mid_store, tmp_path):
-        paths = problem_bundle_paths(mid_store, tmp_path)
-        assert len(paths) == 4
-        for path in paths:
-            vectorized = self.check_json(path, no_vector=False)
-            scalar = self.check_json(path, no_vector=True)
+    def test_check_json_byte_identical(self, default_check,
+                                       reference_esa):
+        for path, vectorized in default_check.items():
+            before = reference_esa.calls
+            scalar = check_json(path)
+            assert reference_esa.calls > before, path
             assert vectorized == scalar, path
             assert json.loads(vectorized)["schema_version"] == 1
 
-    def test_both_escape_hatches_compose(self, mid_store, tmp_path):
-        """``REPRO_NO_VECTOR=1 REPRO_NO_MEMO=1`` together equals the
-        default configuration byte-for-byte."""
-        path = problem_bundle_paths(mid_store, tmp_path)[0]
-        env = vector_subprocess_env(no_vector=True)
-        env[NO_MEMO_ENV] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "check", path,
-             "--json"],
-            capture_output=True, cwd=REPO_ROOT, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout == self.check_json(path, no_vector=False)
+    def test_both_escape_hatches_compose(self, default_check,
+                                         reference_esa, no_memo):
+        """The oracle with every memo cache off equals the default
+        configuration byte-for-byte."""
+        path = next(iter(default_check))
+        before = reference_esa.calls
+        assert check_json(path) == default_check[path]
+        assert reference_esa.calls > before

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.memo import cache_stats
 from repro.semantics.esa import (
     DEFAULT_THRESHOLD,
     EsaModel,
@@ -77,6 +78,24 @@ class TestModel:
         top = default_model().top_concepts("your gps location", k=2)
         assert top
         assert top[0][0] == "geographic location"
+
+    def test_cache_info_reports_every_model_cache(self):
+        """``cache_info`` keys are the model's ``esa_*`` rows of
+        ``cache_stats()`` (the artifact-ladder row belongs to the
+        compiled-KB loader, not to a model)."""
+        model = EsaModel({"fruit": "apple banana pear",
+                          "tool": "hammer wrench saw"})
+        model.match_sets(["apple", "saw"], ["banana", "hammer"])
+        model.group_hits([["apple"]], ["banana", "pear"])
+        info = model.cache_info()
+        registered = {name for name in cache_stats()
+                      if name.startswith("esa_")} - {"esa_kb_artifact"}
+        assert {f"esa_{name}" for name in info} == registered
+        assert info["interpret"]["misses"] == 5
+        assert info["group_index"]["misses"] == 2
+        for name, row in info.items():
+            assert cache_stats()[f"esa_{name}"]["misses"] \
+                >= row["misses"]
 
     def test_interpret_normalized(self):
         vec = default_model().interpret("location and contacts")

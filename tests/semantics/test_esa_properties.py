@@ -1,13 +1,14 @@
 """Property tests for the memoized ESA hot paths.
 
 The optimization layer promises exactness, not approximation: the
-memoized ``similarity`` must agree with the compute-everything path
-to the last ulp, stay symmetric, and the batch entry points
-(``similarity_many``, ``match_sets``) must agree pairwise with the
-scalar predicate.  Phrases are drawn from the corpus vocabulary --
-information surfaces, :data:`ALIAS_SWAPS` paraphrases, and policy
-resource wording -- because that is what the detectors actually
-score.
+memoized ``similarity`` must agree with the memo-off model and with
+the dict-cosine oracle (``tests/semantics/esa_reference.py``) to the
+last ulp, stay symmetric, and the batch entry points
+(``similarity_many``, ``match_sets``, ``any_match``, ``group_hits``)
+must agree pairwise with the scalar predicate.  Phrases are drawn
+from the corpus vocabulary -- information surfaces,
+:data:`ALIAS_SWAPS` paraphrases, and policy resource wording --
+because that is what the detectors actually score.
 """
 
 from __future__ import annotations
@@ -18,15 +19,29 @@ from hypothesis import strategies as st
 
 from repro.corpus.mutations import ALIAS_SWAPS
 from repro.description.permission_map import INFO_SURFACE
-from repro.memo import (
-    clear_caches,
-    set_memo_enabled,
-    set_vector_enabled,
-)
+from repro.memo import clear_caches
 from repro.semantics.esa import default_model
+from tests.semantics.esa_reference import ReferenceEsa, disable_memo
 
-#: every (vector, memo) plane combination; all four must agree bitwise
-_PLANES = ((True, True), (True, False), (False, True), (False, False))
+#: the cache-free dict-cosine oracle
+_ORACLE = ReferenceEsa()
+
+
+def _planes(compute) -> list:
+    """``compute(model)`` on every plane, in order: the default model,
+    the default model with every memo cache missing, and the oracle.
+    All of them must agree bitwise."""
+    esa = default_model()
+    clear_caches()
+    out = [compute(esa)]
+    with pytest.MonkeyPatch.context() as mp:
+        disable_memo(mp)
+        out.append(compute(esa))
+    before = _ORACLE.calls
+    out.append(compute(_ORACLE))
+    assert _ORACLE.calls > before
+    return out
+
 
 _POOL = sorted(
     {surface for aliases in INFO_SURFACE.values() for surface in aliases}
@@ -45,10 +60,8 @@ _PHRASE_LISTS = st.lists(_PHRASES, min_size=0, max_size=6)
 
 
 @pytest.fixture(autouse=True)
-def restore_memo_state():
+def fresh_caches():
     yield
-    set_memo_enabled(None)
-    set_vector_enabled(None)
     clear_caches()
 
 
@@ -56,12 +69,7 @@ class TestMemoExactness:
     @given(_PHRASES, _PHRASES)
     @settings(max_examples=150, deadline=None)
     def test_memoized_equals_unmemoized(self, a, b):
-        esa = default_model()
-        set_memo_enabled(True)
-        clear_caches()
-        memoized = esa.similarity(a, b)
-        set_memo_enabled(False)
-        plain = esa.similarity(a, b)
+        memoized, plain, _ = _planes(lambda model: model.similarity(a, b))
         assert abs(memoized - plain) <= 1e-9
         # the canonical cosine makes the agreement exact, not approximate
         assert memoized == plain
@@ -69,25 +77,17 @@ class TestMemoExactness:
     @given(_PHRASES, _PHRASES)
     @settings(max_examples=150, deadline=None)
     def test_symmetry_exact(self, a, b):
-        esa = default_model()
-        for enabled in (True, False):
-            set_memo_enabled(enabled)
-            clear_caches()
-            assert esa.similarity(a, b) == esa.similarity(b, a)
+        for forward, backward in _planes(
+                lambda model: (model.similarity(a, b),
+                               model.similarity(b, a))):
+            assert forward == backward
 
     @given(_PHRASES, _PHRASES)
     @settings(max_examples=150, deadline=None)
     def test_all_planes_agree_bitwise(self, a, b):
-        """Vector x memo: the compiled plane and the scalar plane
-        compute the same float, memoized or not."""
-        esa = default_model()
-        values = set()
-        for vector, memoized in _PLANES:
-            set_vector_enabled(vector)
-            set_memo_enabled(memoized)
-            clear_caches()
-            values.add(esa.similarity(a, b))
-        assert len(values) == 1
+        """The compiled model (memoized or not) and the dict-cosine
+        oracle compute the same float."""
+        assert len(set(_planes(lambda model: model.similarity(a, b)))) == 1
 
 
 class TestBatchAgreement:
@@ -108,12 +108,9 @@ class TestBatchAgreement:
             for j, b in enumerate(texts_b)
             if esa.similarity(a, b) > esa.threshold
         ]
-        for vector, memoized in _PLANES:
-            set_vector_enabled(vector)
-            set_memo_enabled(memoized)
-            clear_caches()
-            assert esa.match_sets(texts_a, texts_b) == reference, \
-                (vector, memoized)
+        for plane, got in enumerate(_planes(
+                lambda model: model.match_sets(texts_a, texts_b))):
+            assert got == reference, plane
 
     @given(_PHRASE_LISTS, _PHRASE_LISTS)
     @settings(max_examples=100, deadline=None)
@@ -122,12 +119,9 @@ class TestBatchAgreement:
         reference = any(
             esa.same_thing(a, b) for a in texts_a for b in texts_b
         )
-        for vector, memoized in _PLANES:
-            set_vector_enabled(vector)
-            set_memo_enabled(memoized)
-            clear_caches()
-            assert esa.any_match(texts_a, texts_b) == reference, \
-                (vector, memoized)
+        for plane, got in enumerate(_planes(
+                lambda model: model.any_match(texts_a, texts_b))):
+            assert got == reference, plane
 
     @given(st.lists(_PHRASE_LISTS, min_size=0, max_size=4),
            _PHRASE_LISTS)
@@ -141,9 +135,6 @@ class TestBatchAgreement:
             }
             for group in groups
         ]
-        for vector, memoized in _PLANES:
-            set_vector_enabled(vector)
-            set_memo_enabled(memoized)
-            clear_caches()
-            assert esa.group_hits(groups, texts_b) == reference, \
-                (vector, memoized)
+        for plane, got in enumerate(_planes(
+                lambda model: model.group_hits(groups, texts_b))):
+            assert got == reference, plane

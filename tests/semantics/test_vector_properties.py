@@ -1,19 +1,19 @@
-"""Property tests for the compiled (merge-join) ESA data plane.
+"""Property tests for the compiled (merge-join) ESA matcher.
 
-The vectorized representation promises *bitwise* agreement with the
-historical dict-of-dicts plane, not approximate agreement.  Two
+The packed-array representation promises *bitwise* agreement with the
+historical dict-of-dicts cosine, not approximate agreement.  Two
 families of properties pin that down:
 
 - kernel equivalence: :func:`repro.semantics.esa._merge_cosine` over
-  sorted ``(concept_id, weight)`` arrays equals the scalar
-  :func:`repro.semantics.esa._cosine` over the same canonical sparse
-  dicts with ``==`` on the floats -- including empty, disjoint,
-  single-concept, and duplicate-weight vectors -- and is symmetric in
-  its arguments;
+  sorted ``(concept_id, weight)`` arrays equals the oracle's dict
+  ``_cosine`` (``tests/semantics/esa_reference.py``) over the same
+  canonical sparse dicts with ``==`` on the floats -- including
+  empty, disjoint, single-concept, and duplicate-weight vectors -- and
+  is symmetric in its arguments;
 - compiled-KB round-trip: ``compile -> to_bytes -> from_bytes``
-  reproduces the in-memory build exactly (concepts, terms, packed
-  arrays, and the derived dict-of-dicts view), for the embedded
-  knowledge base and for arbitrary generated article inventories.
+  reproduces the in-memory build exactly (concepts, terms, and the
+  packed arrays, bit for bit), for the embedded knowledge base and for
+  arbitrary generated article inventories.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.semantics.compiled import CompiledKB, compile_kb
-from repro.semantics.esa import _cosine, _merge_cosine
+from repro.semantics.esa import _merge_cosine
 from repro.semantics.knowledge import CONCEPT_ARTICLES
+from tests.semantics.esa_reference import _cosine
 
 _WEIGHTS = st.floats(min_value=0.0, max_value=1e3,
                      allow_nan=False, allow_infinity=False)
@@ -93,7 +94,6 @@ def _assert_kb_equal(left: CompiledKB, right: CompiledKB) -> None:
     assert left.weights.tobytes() == right.weights.tobytes()
     assert left.articles_fp == right.articles_fp
     assert left.term_index == right.term_index
-    assert left.term_vector_dicts() == right.term_vector_dicts()
 
 
 class TestCompiledKBRoundTrip:
