@@ -479,9 +479,10 @@ class _Parser:
                 self.tree.add(root_gov, tok.index, rel)
 
 
-#: sentence -> parsed dependency tree.  Corpus policies share template
-#: sentences across thousands of apps, and one check consults the same
-#: sentence in several stages; the cache makes each sentence pay for
+#: sentence -> parsed dependency tree.  Sentence selection parses only
+#: sentences that hold a candidate lemma (``policy/selection.py``), so
+#: in a study this holds the few thousand template sentences a pattern
+#: can match, not every one-off per-app fragment; each pays for
 #: tokenization, tagging, and parsing once per process.  Cached trees
 #: are shared and read-only by convention (nothing outside this module
 #: mutates a DependencyTree after construction).

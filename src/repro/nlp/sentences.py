@@ -25,7 +25,11 @@ _ABBREVIATIONS = {
     "u.k", "approx", "est", "sec", "fig", "al", "cf", "viz",
 }
 
-_TERMINATORS = ".!?"
+_TERMINATOR_RE = re.compile(r"[.!?]")
+_CLOSERS_RE = re.compile(r"[\"')\]”’]*")
+_BREAK_RE = re.compile(r"\n\s*\n|\n\s*(?=[-*•])")
+_SPACE_RE = re.compile(r"\s+")
+_BULLET_RE = re.compile(r"^[-*•]\s*")
 
 
 def _is_abbreviation(text: str, dot_index: int) -> bool:
@@ -47,38 +51,24 @@ def _is_abbreviation(text: str, dot_index: int) -> bool:
 def _raw_split(text: str) -> list[str]:
     """First-pass split at sentence terminators."""
     sentences: list[str] = []
-    buf: list[str] = []
-    i = 0
+    start = 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        buf.append(ch)
-        if ch in _TERMINATORS:
-            if ch == "." and _is_abbreviation(text, i):
-                i += 1
-                continue
+    for match in _TERMINATOR_RE.finditer(text):
+        i = match.start()
+        if text[i] == "." and (
+            _is_abbreviation(text, i)
             # Decimal numbers: "2.5 million".
-            if (
-                ch == "."
-                and 0 < i < n - 1
-                and text[i - 1].isdigit()
-                and text[i + 1].isdigit()
-            ):
-                i += 1
-                continue
-            # Consume trailing quote/bracket.
-            j = i + 1
-            while j < n and text[j] in "\"')]”’":
-                buf.append(text[j])
-                j += 1
-            sentence = "".join(buf).strip()
-            if sentence:
-                sentences.append(sentence)
-            buf = []
-            i = j
+            or (0 < i < n - 1 and text[i - 1].isdigit()
+                and text[i + 1].isdigit())
+        ):
             continue
-        i += 1
-    tail = "".join(buf).strip()
+        # The sentence keeps any trailing quote/bracket.
+        end = _CLOSERS_RE.match(text, i + 1).end()
+        sentence = text[start:end].strip()
+        if sentence:
+            sentences.append(sentence)
+        start = end
+    tail = text[start:].strip()
     if tail:
         sentences.append(tail)
     return sentences
@@ -88,9 +78,9 @@ def _split_newlines(pieces: list[str]) -> list[str]:
     """Treat blank lines and bullet markers as sentence boundaries."""
     out: list[str] = []
     for piece in pieces:
-        for part in re.split(r"\n\s*\n|\n\s*(?=[-*•])", piece):
-            part = re.sub(r"\s+", " ", part).strip()
-            part = re.sub(r"^[-*•]\s*", "", part)
+        for part in _BREAK_RE.split(piece):
+            part = _SPACE_RE.sub(" ", part).strip()
+            part = _BULLET_RE.sub("", part)
             if part:
                 out.append(part)
     return out

@@ -34,6 +34,8 @@ _TAG_RE = re.compile(r"<(/?)([a-zA-Z][a-zA-Z0-9]*)[^>]*>")
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
 _DOCTYPE_RE = re.compile(r"<!DOCTYPE[^>]*>", re.IGNORECASE)
 _NUMERIC_ENTITY_RE = re.compile(r"&#(x?[0-9a-fA-F]+);")
+# Non-ASCII and ASCII control characters, except the newline.
+_NON_TEXT_RE = re.compile(r"[^\n\x20-\x7e]+")
 
 
 def _decode_entities(text: str) -> str:
@@ -80,11 +82,7 @@ def html_to_text(html: str) -> str:
     out.append(text[pos:])
 
     flat = _decode_entities("".join(out))
-    # Strip non-ASCII and ASCII control characters (keep \n).
-    flat = "".join(
-        ch for ch in flat
-        if ch == "\n" or (32 <= ord(ch) < 127)
-    )
+    flat = _NON_TEXT_RE.sub("", flat)
     # Collapse runs of spaces, keep paragraph breaks.
     flat = re.sub(r"[ \t]+", " ", flat)
     flat = re.sub(r" ?\n ?", "\n", flat)

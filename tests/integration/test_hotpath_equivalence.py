@@ -1,11 +1,11 @@
 """Differential suite: the hot-path caches never change the output.
 
 The ESA/NLP memoization layer (:mod:`repro.memo`) promises that every
-cache -- interpretation and group-view LRUs, the parse cache -- is
-*exact*.  These tests prove it the strong way: the text the user sees
-is byte-identical on the default configuration and under the
-``no_memo`` fixture, which forces every :class:`~repro.memo.MemoCache`
-lookup to miss.
+cache -- interpretation and group-view LRUs, the parse cache, the
+selection gate -- is *exact*.  These tests prove it the strong way:
+the text the user sees is byte-identical on the default configuration
+and under the ``no_memo`` fixture, which forces every
+:class:`~repro.memo.MemoCache` lookup to miss.
 
 Covered surfaces, all in-process:
 
@@ -71,11 +71,12 @@ def quickstart_out() -> str:
 
 
 def memo_hits() -> int:
-    """Hits over the ESA and parse memo caches since the last
-    :func:`clear_caches`."""
+    """Hits over the ESA, parse and selection-gate memo caches since
+    the last :func:`clear_caches`."""
     stats = cache_stats()
     return sum(stats[name]["hits"] for name in
-               ("esa_interpret", "esa_group_index", "nlp_parse"))
+               ("esa_interpret", "esa_group_index", "nlp_parse",
+                "policy_gate"))
 
 
 def problem_bundle_paths(store, directory) -> list[str]:

@@ -1,6 +1,52 @@
 """Sentence splitting tests, including the paper's enumeration fix."""
 
-from repro.nlp.sentences import merge_enumerations, split_sentences
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.nlp.sentences
+from repro.nlp.sentences import (
+    _is_abbreviation,
+    _raw_split,
+    merge_enumerations,
+    split_sentences,
+)
+
+
+def char_loop_split(text: str) -> list[str]:
+    """Oracle for ``_raw_split``: a per-character buffer loop with the
+    same abbreviation, decimal and trailing-quote rules."""
+    sentences: list[str] = []
+    buf: list[str] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        buf.append(ch)
+        i += 1
+        if ch not in ".!?" or ch == "." and (
+                _is_abbreviation(text, i - 1)
+                or (1 < i < n and text[i - 2].isdigit()
+                    and text[i].isdigit())):
+            continue
+        while i < n and text[i] in "\"')]”’":
+            buf.append(text[i])
+            i += 1
+        if sentence := "".join(buf).strip():
+            sentences.append(sentence)
+        buf = []
+    if tail := "".join(buf).strip():
+        sentences.append(tail)
+    return sentences
+
+
+#: terminators, closers, digits, list punctuation, line breaks,
+#: bullets, entities, control characters and non-ASCII letters
+_SCAN_TEXT = st.lists(st.sampled_from([
+    ".", "!", "?", '"', "'", ")", "]", "”", "’", "0", "7", "2.5", ";",
+    ",", ":", "\n", "\n\n", "\n- ", "\n* ", "• ", "&amp;", "&#233;",
+    "\x00", "\x07", "\t", "é", "Ж", " ", "a", "We collect", "data",
+    "e.g", "Inc", "u.s", "com.example", "x",
+]), max_size=60).map("".join)
 
 
 class TestBasicSplitting:
@@ -80,3 +126,27 @@ class TestEnumerationMerge:
 
     def test_empty_input(self):
         assert merge_enumerations([]) == []
+
+
+class TestScanExactness:
+    """The regex-driven splitter emits exactly what the character loop
+    did."""
+
+    @given(_SCAN_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_raw_split_matches_char_loop(self, text):
+        assert _raw_split(text) == char_loop_split(text)
+
+    @given(_SCAN_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_split_sentences_matches_char_loop(self, text):
+        fast = split_sentences(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repro.nlp.sentences, "_raw_split", char_loop_split)
+            assert fast == split_sentences(text)
+
+    def test_oracle_pins_the_rules(self):
+        text = 'Inc. pays 2.5 dollars (e.g. you). "Done!" Then? end'
+        assert char_loop_split(text) == _raw_split(text) == [
+            "Inc. pays 2.5 dollars (e.g. you).", '"Done!"', "Then?", "end",
+        ]

@@ -1,6 +1,33 @@
 """HTML-to-text extraction tests."""
 
-from repro.policy.html_text import html_to_text
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.policy.html_text
+from repro.policy.html_text import _NON_TEXT_RE, html_to_text
+
+
+def char_loop_ascii(text: str) -> str:
+    """Oracle for the non-text filter: a per-character generator that
+    keeps newlines and printable ASCII."""
+    return "".join(ch for ch in text if ch == "\n" or 32 <= ord(ch) < 127)
+
+
+class _CharLoopFilter:
+    """Stands in for ``_NON_TEXT_RE`` inside ``html_to_text``."""
+
+    @staticmethod
+    def sub(repl: str, text: str) -> str:
+        return char_loop_ascii(text)
+
+
+_HTML = st.lists(st.sampled_from([
+    "<p>", "</p>", "<li>", "<br>", "<b>", "&amp;", "&#233;", "&#x41;",
+    "&nbsp;", "&rsquo;", ".", "!", "?", '"', "”", ";", ",", "\n", "\r",
+    "\t", "\x00", "\x07", "\x7f", "\x85", "é", "Ж", "❤", " ", "We",
+    "collect", "data", "7",
+]), max_size=60).map("".join)
 
 
 class TestHtmlToText:
@@ -59,3 +86,19 @@ class TestHtmlToText:
     def test_malformed_html_survives(self):
         out = html_to_text("<p>unclosed <div>nested<p>deep")
         assert "unclosed" in out and "deep" in out
+
+
+class TestScanExactness:
+    @given(st.text(max_size=200))
+    @settings(max_examples=500, deadline=None)
+    def test_filter_matches_char_loop(self, text):
+        assert _NON_TEXT_RE.sub("", text) == char_loop_ascii(text)
+
+    @given(_HTML)
+    @settings(max_examples=300, deadline=None)
+    def test_html_to_text_matches_char_loop(self, html):
+        fast = html_to_text(html)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repro.policy.html_text, "_NON_TEXT_RE",
+                       _CharLoopFilter)
+            assert fast == html_to_text(html)
