@@ -2,7 +2,8 @@
 
 ValHunter [33] stores an APG -- AST, interprocedural CFG, method call
 graph, and system dependency graph -- in a graph database and answers
-analyses as queries.  Our APG is a networkx DiGraph combining
+analyses as queries.  Our APG is one in-memory directed graph
+(:mod:`repro.android.graph`) combining
 
 - call edges (MCG),
 - implicit callback edges (EdgeMiner),
@@ -17,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.android.apk import Apk
 from repro.android.callbacks import add_callback_edges
 from repro.android.callgraph import build_call_graph
 from repro.android.dex import DexFile, Method
+from repro.android.graph import DiGraph
 from repro.android.intents import add_icc_edges
 
 
@@ -31,7 +31,7 @@ class AndroidPropertyGraph:
     """The queryable program representation of one app."""
 
     apk: Apk
-    graph: "nx.DiGraph" = field(default_factory=nx.DiGraph)
+    graph: DiGraph = field(default_factory=DiGraph)
     callback_edges: int = 0
     icc_edges: int = 0
 

@@ -11,9 +11,8 @@ the listener class's callback method.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.android.dex import DexFile, Method
+from repro.android.graph import DiGraph
 
 #: registration method name -> callback method name on the listener.
 CALLBACK_REGISTRATIONS: dict[str, str] = {
@@ -57,7 +56,7 @@ def _listener_classes(method: Method) -> dict[str, str]:
     return classes
 
 
-def add_callback_edges(graph: "nx.DiGraph", dex: DexFile) -> int:
+def add_callback_edges(graph: DiGraph, dex: DexFile) -> int:
     """Add implicit registration->callback edges to the call graph.
 
     Returns the number of edges added.

@@ -8,20 +8,19 @@ sites stay visible in the graph.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.android.dex import DexFile, Method
+from repro.android.graph import DiGraph
 
 EDGE_CALL = "call"
 
 
-def build_call_graph(dex: DexFile) -> "nx.DiGraph":
-    """The MCG as a networkx DiGraph.
+def build_call_graph(dex: DexFile) -> DiGraph:
+    """The MCG as a :class:`~repro.android.graph.DiGraph`.
 
     Node attributes: ``internal`` (bool), ``class_name``, ``method``.
     Edge attributes: ``kind`` = "call".
     """
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for method in dex.all_methods():
         _ensure_node(graph, method.signature, method)
         for ins in method.invocations():
@@ -33,7 +32,7 @@ def build_call_graph(dex: DexFile) -> "nx.DiGraph":
     return graph
 
 
-def _ensure_node(graph: "nx.DiGraph", signature: str,
+def _ensure_node(graph: DiGraph, signature: str,
                  method: Method | None) -> None:
     if signature in graph:
         if method is not None and not graph.nodes[signature]["internal"]:
@@ -53,13 +52,13 @@ def _ensure_node(graph: "nx.DiGraph", signature: str,
                        method=name)
 
 
-def callers_of(graph: "nx.DiGraph", signature: str) -> list[str]:
+def callers_of(graph: DiGraph, signature: str) -> list[str]:
     if signature not in graph:
         return []
     return sorted(graph.predecessors(signature))
 
 
-def callees_of(graph: "nx.DiGraph", signature: str) -> list[str]:
+def callees_of(graph: DiGraph, signature: str) -> list[str]:
     if signature not in graph:
         return []
     return sorted(graph.successors(signature))

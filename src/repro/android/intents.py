@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.android.dex import DexFile, Method
+from repro.android.graph import DiGraph
 from repro.android.manifest import AndroidManifest
 
 EDGE_ICC = "icc"
@@ -94,7 +93,7 @@ def resolve_icc_links(dex: DexFile,
     return links
 
 
-def add_icc_edges(graph: "nx.DiGraph", dex: DexFile,
+def add_icc_edges(graph: DiGraph, dex: DexFile,
                   manifest: AndroidManifest) -> int:
     """Add ICC edges source method -> target lifecycle method."""
     added = 0

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.android.api_db import QUERY_APIS, SENSITIVE_APIS, SINK_APIS
 from repro.android.dex import DexFile
+from repro.android.graph import DiGraph
 from repro.android.uris import find_uri_accesses
 from repro.semantics.resources import InfoType
 
@@ -63,9 +62,9 @@ def _field(literal: str) -> tuple[str, str]:
     return ("<FIELD>", literal)
 
 
-def build_flow_graph(dex: DexFile) -> "nx.DiGraph":
+def build_flow_graph(dex: DexFile) -> DiGraph:
     """The interprocedural data-flow graph over registers."""
-    flow = nx.DiGraph()
+    flow = DiGraph()
     for method in dex.all_methods():
         sig = method.signature
         for ins in method.instructions:

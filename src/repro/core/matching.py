@@ -18,8 +18,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.description.permission_map import INFO_SURFACE
+from repro.hashing import fingerprint
 from repro.semantics.esa import DEFAULT_THRESHOLD, EsaModel, default_model
 from repro.semantics.resources import InfoType, normalize_resource
 
@@ -39,14 +41,10 @@ class InfoMatcher:
         """Content hash of the matcher configuration; part of the
         ``detect`` cache key.  Custom ESA models may expose their own
         ``fingerprint()``; otherwise the type name stands in."""
-        from repro.hashing import fingerprint
-
         esa_fp = getattr(self.esa, "fingerprint", None)
-        return fingerprint({
-            "threshold": self.threshold,
-            "esa": esa_fp() if callable(esa_fp)
-            else type(self.esa).__name__,
-        })
+        return _config_fingerprint(
+            self.threshold,
+            esa_fp() if callable(esa_fp) else type(self.esa).__name__)
 
     def phrase_matches(self, info: InfoType, phrase: str) -> bool:
         """Similarity(info, phrase) > threshold."""
@@ -145,6 +143,13 @@ class InfoMatcher:
                 if (i, j) in esa_hits:
                     return phrase_a, phrase_b
         return None
+
+
+@lru_cache(maxsize=64, typed=True)
+def _config_fingerprint(threshold: float, esa_fingerprint: str) -> str:
+    """:meth:`InfoMatcher.fingerprint`, computed once per distinct
+    configuration."""
+    return fingerprint({"threshold": threshold, "esa": esa_fingerprint})
 
 
 __all__ = ["InfoMatcher"]

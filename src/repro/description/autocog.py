@@ -11,8 +11,10 @@ description implies, hence ``Info_desc`` -- feeds Alg. 1 and Alg. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.description.permission_map import info_for_permission
+from repro.hashing import fingerprint
 from repro.nlp.sentences import split_sentences
 from repro.semantics.esa import EsaModel, default_model
 from repro.semantics.resources import InfoType
@@ -93,14 +95,10 @@ class AutoCog:
     def fingerprint(self) -> str:
         """Content hash of the description model; part of the
         ``description_permissions`` cache key."""
-        from repro.hashing import fingerprint
-
-        return fingerprint({
-            "model": {perm: list(phrases)
-                      for perm, phrases in self._model.items()},
-            "threshold": self.threshold,
-            "use_esa_fallback": self.use_esa_fallback,
-        })
+        model = tuple((perm, tuple(phrases))
+                      for perm, phrases in self._model.items())
+        return _config_fingerprint(model, self.threshold,
+                                   self.use_esa_fallback)
 
     def infer_permissions(self, description: str) -> set[str]:
         """Permissions the description's sentences imply."""
@@ -129,6 +127,18 @@ class AutoCog:
         for permission in self.infer_permissions(description):
             infos.update(info_for_permission(permission))
         return infos
+
+
+@lru_cache(maxsize=64, typed=True)
+def _config_fingerprint(model: tuple[tuple[str, tuple[str, ...]], ...],
+                        threshold: float, use_esa_fallback: bool) -> str:
+    """:meth:`AutoCog.fingerprint`, computed once per distinct
+    configuration."""
+    return fingerprint({
+        "model": {perm: list(phrases) for perm, phrases in model},
+        "threshold": threshold,
+        "use_esa_fallback": use_esa_fallback,
+    })
 
 
 _DEFAULT: AutoCog | None = None

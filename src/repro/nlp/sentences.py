@@ -33,19 +33,23 @@ _BULLET_RE = re.compile(r"^[-*•]\s*")
 
 
 def _is_abbreviation(text: str, dot_index: int) -> bool:
-    """True if the period at *dot_index* terminates an abbreviation."""
+    """True if the period at *dot_index* terminates an abbreviation: a
+    known one, a single letter ("a.", initials), or a run of letters,
+    digits and periods that holds an earlier period ("u.s.a", "...").
+
+    The walk back covers letters and digits only and stops at the
+    first earlier period, so no character is walked by two periods:
+    linear in the text, also over a long dotted run."""
     start = dot_index
-    while start > 0 and (text[start - 1].isalnum() or text[start - 1] == "."):
+    while start > 0:
+        prev = text[start - 1]
+        if prev == ".":
+            return True
+        if not prev.isalnum():
+            break
         start -= 1
-    word = text[start:dot_index].lower().rstrip(".")
-    if word in _ABBREVIATIONS:
-        return True
-    # Single letters ("a.", initials) and dotted acronyms ("u.s.a").
-    if len(word) == 1 and word.isalpha():
-        return True
-    if "." in text[start:dot_index]:
-        return True
-    return False
+    word = text[start:dot_index].lower()
+    return word in _ABBREVIATIONS or (len(word) == 1 and word.isalpha())
 
 
 def _raw_split(text: str) -> list[str]:

@@ -53,6 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.checker import AppBundle
 
 
+#: bound on the lib-analysis digest memo (one entry per distinct lib
+#: policy and analyzer configuration)
+_LIB_DIGESTS_MAX = 4096
+
+
 @dataclass
 class Pipeline:
     """Content-addressed, stage-cached PPChecker execution."""
@@ -73,6 +78,8 @@ class Pipeline:
 
     def __post_init__(self) -> None:
         self._lib_lock = Lock()
+        #: lib stage key -> content digest of its analysis
+        self._lib_digests: dict[str, str] = {}
 
     # -- stage runner ------------------------------------------------------
 
@@ -186,6 +193,10 @@ class Pipeline:
     def lib_policy_analysis(self, lib_id: str) -> PolicyAnalysis | None:
         """The analyzed policy of one third-party lib (None when the
         lib publishes no policy), shared across apps and checkers."""
+        return self._lib_policy(lib_id)[1]
+
+    def _lib_policy(self, lib_id: str) -> tuple[str, PolicyAnalysis | None]:
+        """``(stage key, analysis)`` of one lib."""
         with self._stage_guard(stages.LIB_POLICY_ANALYSIS, lib_id):
             text = self.lib_policy_source(lib_id)
             digest = stages.lib_policy_key(
@@ -193,12 +204,24 @@ class Pipeline:
             # serialize lib computes: the handful of shared lib policies
             # would otherwise be analyzed once per worker on a cold start
             with self._lib_lock:
-                return self._run(
+                return digest, self._run(
                     stages.LIB_POLICY_ANALYSIS, digest,
                     lambda: None if text is None
                     else self.policy_analyzer.analyze(text),
                     context=lib_id,
                 )
+
+    def _lib_digest(self, key: str, analysis: PolicyAnalysis) -> str:
+        """:func:`stages.analysis_digest` of a lib analysis, memoized
+        on its stage key: the key hashes every input the analysis is
+        computed from, so equal keys mean equal analyses."""
+        digest = self._lib_digests.get(key)
+        if digest is None:
+            if len(self._lib_digests) >= _LIB_DIGESTS_MAX:
+                self._lib_digests.clear()
+            digest = self._lib_digests[key] = \
+                stages.analysis_digest(analysis)
+        return digest
 
     def detect(
         self,
@@ -219,15 +242,16 @@ class Pipeline:
         static_result: StaticAnalysisResult,
         permissions: set[str],
     ) -> AppReport:
-        lib_analyses = {
-            spec.lib_id: analysis
-            for spec in static_result.libraries
-            if (analysis := self.lib_policy_analysis(spec.lib_id))
-            is not None
-        }
+        lib_analyses: dict[str, PolicyAnalysis] = {}
+        lib_digests: dict[str, str] = {}
+        for spec in static_result.libraries:
+            key, analysis = self._lib_policy(spec.lib_id)
+            if analysis is not None:
+                lib_analyses[spec.lib_id] = analysis
+                lib_digests[spec.lib_id] = self._lib_digest(key, analysis)
         digest = stages.detect_key(
             bundle.package, policy, static_result, permissions,
-            lib_analyses,
+            lib_digests,
             matcher_fingerprint=self.matcher.fingerprint(),
             honor_disclaimer=self.honor_disclaimer,
         )

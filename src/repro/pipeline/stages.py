@@ -32,6 +32,7 @@ their types, documents are plain JSON (same idiom as
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.android.static_analysis import StaticAnalysisResult
@@ -77,11 +78,19 @@ def description_key(autocog_fingerprint: str, description: str) -> str:
                         fingerprint_text(description)])
 
 
+@lru_cache(maxsize=1024)
 def lib_policy_key(analyzer_fingerprint: str, lib_id: str,
                    text: str | None) -> str:
+    # memoized: every app embedding a lib asks for the same key
     return fingerprint([LIB_POLICY_ANALYSIS, analyzer_fingerprint,
                         lib_id,
                         None if text is None else fingerprint_text(text)])
+
+
+def analysis_digest(analysis: PolicyAnalysis) -> str:
+    """Content digest of one policy analysis, as ``detect`` keys hash
+    it."""
+    return fingerprint(analysis.to_dict())
 
 
 def detect_key(
@@ -89,19 +98,20 @@ def detect_key(
     policy: PolicyAnalysis,
     static_result: StaticAnalysisResult,
     permissions: set[str],
-    lib_analyses: dict[str, PolicyAnalysis],
+    lib_digests: dict[str, str],
     *,
     matcher_fingerprint: str,
     honor_disclaimer: bool,
 ) -> str:
+    """*lib_digests* maps each lib id to :func:`analysis_digest` of
+    its analysis (the caller memoizes them; libs recur across apps)."""
     return fingerprint([
         DETECT,
         package,
-        fingerprint(policy.to_dict()),
+        analysis_digest(policy),
         fingerprint(static_result.to_dict()),
         sorted(permissions),
-        {lib_id: fingerprint(analysis.to_dict())
-         for lib_id, analysis in lib_analyses.items()},
+        lib_digests,
         matcher_fingerprint,
         bool(honor_disclaimer),
     ])
@@ -161,6 +171,7 @@ __all__ = [
     "static_key",
     "description_key",
     "lib_policy_key",
+    "analysis_digest",
     "detect_key",
     "STAGE_CODECS",
     "STAGE_CLONES",

@@ -8,9 +8,10 @@ third-party disclaimer flag used by the inconsistency detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.hashing import fingerprint, fingerprint_text
+from repro.hashing import fingerprint
 from repro.nlp.sentences import split_sentences
 from repro.policy.extraction import extract_statement
 from repro.policy.html_text import html_to_text
@@ -56,9 +57,6 @@ class PolicyAnalyzer:
 
     patterns: tuple[Pattern, ...] = SEED_PATTERNS
     verbs: frozenset[str] = ALL_CATEGORY_VERBS
-    _cache: dict[str, PolicyAnalysis] = field(default_factory=dict,
-                                              repr=False)
-    _fingerprint: str | None = field(default=None, repr=False)
 
     def fingerprint(self) -> str:
         """Content hash of the analyzer configuration.
@@ -68,32 +66,14 @@ class PolicyAnalyzer:
         share artifacts; a custom pattern list (e.g. a bootstrap
         top-n) gets its own key space.
         """
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint({
-                "patterns": [
-                    {
-                        "name": p.name,
-                        "chain": list(p.chain),
-                        "voice": p.voice,
-                        "require_advcl": p.require_advcl,
-                        "category": p.category.value if p.category
-                        else None,
-                    }
-                    for p in self.patterns
-                ],
-                "verbs": sorted(self.verbs),
-            })
-        return self._fingerprint
+        return _config_fingerprint(tuple(self.patterns),
+                                   frozenset(self.verbs))
 
     def analyze(self, policy: str, html: bool = False) -> PolicyAnalysis:
-        """Run the six-step pipeline over one policy document."""
-        # content digest, not hash(): hash collisions must never alias
-        # two different policies to one analysis
-        key = f"{int(html)}:{fingerprint_text(policy)}"
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        """Run the six-step pipeline over one policy document.
 
+        Not memoized here: the pipeline's artifact store is the one
+        (bounded) cache of policy analyses."""
         text = html_to_text(policy) if html else policy
         sentences = split_sentences(text)
 
@@ -107,9 +87,27 @@ class PolicyAnalyzer:
                                               selected.text)
                 if statement is not None:
                     analysis.statements.append(statement)
-
-        self._cache[key] = analysis
         return analysis
+
+
+@lru_cache(maxsize=64)
+def _config_fingerprint(patterns: tuple[Pattern, ...],
+                        verbs: frozenset[str]) -> str:
+    """:meth:`PolicyAnalyzer.fingerprint`, computed once per distinct
+    configuration."""
+    return fingerprint({
+        "patterns": [
+            {
+                "name": p.name,
+                "chain": list(p.chain),
+                "voice": p.voice,
+                "require_advcl": p.require_advcl,
+                "category": p.category.value if p.category else None,
+            }
+            for p in patterns
+        ],
+        "verbs": sorted(verbs),
+    })
 
 
 _DEFAULT_ANALYZER: PolicyAnalyzer | None = None

@@ -22,11 +22,11 @@ walks instead of hashing dict keys:
   ``nlp_caches`` telemetry (``hits`` = artifact loads, ``misses`` =
   recompiles, ``warnings`` = corrupt artifacts recovered from).
 
-Array decode/validation selects a backend at import: bulk numpy
-``frombuffer`` checks when numpy is installed, a pure-Python scan
-otherwise.  The cosine kernel itself stays pure Python in both
-backends because the equivalence contract pins the float summation
-order (numpy's pairwise reductions would drift in the last ulp).
+Array decode and validation are plain standard-library scans over
+:class:`array.array` sections; the KB is small (tens of concepts,
+hundreds of terms), so a load verifies in well under a millisecond.
+The cosine kernel stays pure Python because the equivalence contract
+pins the float summation order.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ from dataclasses import dataclass, field
 from repro.hashing import fingerprint
 from repro.memo import MemoCache
 from repro.nlp.tokenizer import lemmatize
-
-try:  # numpy-optional: bulk artifact validation only
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on environment
-    _np = None
-
-#: which array backend the artifact loader uses ("numpy" | "python")
-BACKEND = "numpy" if _np is not None else "python"
 
 #: artifact file magic ("Repro Knowledge Base")
 KB_MAGIC = b"RKB1"
@@ -255,16 +247,12 @@ def _validate_layout(n_concepts: int, n_terms: int, offsets: array,
     if offsets[0] != 0 or offsets[-1] != len(cids) \
             or len(cids) != len(weights):
         raise CompiledKBError("offsets do not cover the value arrays")
-    if _np is not None:
-        off = _np.frombuffer(offsets, dtype=_np.int64)
-        ids = _np.frombuffer(cids, dtype=_np.int32)
-        if len(off) > 1 and bool((off[1:] < off[:-1]).any()):
+    for k in range(1, len(offsets)):
+        if offsets[k] < offsets[k - 1]:
             raise CompiledKBError("offsets not monotone")
-        if len(ids) and (int(ids.min()) < 0
-                         or int(ids.max()) >= n_concepts):
+    for cid in cids:
+        if cid < 0 or cid >= n_concepts:
             raise CompiledKBError("concept id out of range")
-    else:
-        _validate_layout_python(n_concepts, offsets, cids)
     # ascending-within-row is the merge-join precondition
     for tid in range(n_terms):
         row = cids[offsets[tid]:offsets[tid + 1]]
@@ -272,18 +260,6 @@ def _validate_layout(n_concepts: int, n_terms: int, offsets: array,
             if row[k] <= row[k - 1]:
                 raise CompiledKBError(
                     f"term row {tid} not strictly ascending")
-
-
-def _validate_layout_python(n_concepts: int, offsets: array,
-                            cids: array) -> None:
-    """Pure-Python half of the backend split (numpy does the same
-    checks with bulk comparisons)."""
-    for k in range(1, len(offsets)):
-        if offsets[k] < offsets[k - 1]:
-            raise CompiledKBError("offsets not monotone")
-    for cid in cids:
-        if cid < 0 or cid >= n_concepts:
-            raise CompiledKBError("concept id out of range")
 
 
 def compile_kb(articles: dict[str, str]) -> CompiledKB:
@@ -407,7 +383,6 @@ def load_or_compile(articles: dict[str, str],
 
 
 __all__ = [
-    "BACKEND",
     "KB_MAGIC",
     "KB_SCHEMA_VERSION",
     "KB_CACHE_ENV",

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
+from repro.hashing import fingerprint
 from repro.memo import MISS, MemoCache
 from repro.semantics.compiled import (
     CompiledKB,
@@ -122,10 +124,7 @@ class EsaModel:
     def fingerprint(self) -> str:
         """Content hash of the knowledge base + threshold (part of
         the ``detect`` stage cache key via ``InfoMatcher``)."""
-        from repro.hashing import fingerprint
-
-        return fingerprint({"esa_kb": self.kb.articles_fp,
-                            "threshold": self.threshold})
+        return _model_fingerprint(self.kb.articles_fp, self.threshold)
 
     # -- interpretation ----------------------------------------------------
 
@@ -325,6 +324,12 @@ class EsaModel:
         vec = self.interpret(text)
         ranked = sorted(vec.items(), key=lambda cw: -cw[1])[:k]
         return [(self._concepts[c], w) for c, w in ranked]
+
+
+@lru_cache(maxsize=64, typed=True)
+def _model_fingerprint(articles_fp: str, threshold: float) -> str:
+    """:meth:`EsaModel.fingerprint`, computed once per (KB, threshold)."""
+    return fingerprint({"esa_kb": articles_fp, "threshold": threshold})
 
 
 _DEFAULT: EsaModel | None = None

@@ -1,5 +1,7 @@
 """Sentence splitting tests, including the paper's enumeration fix."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,21 @@ from repro.nlp.sentences import (
 )
 
 
+def char_loop_is_abbreviation(text: str, dot_index: int) -> bool:
+    """Oracle for ``_is_abbreviation``: walks back one character at a
+    time over the whole letter/digit/period run (quadratic in a dotted
+    run)."""
+    start = dot_index
+    while start > 0 and (text[start - 1].isalnum() or text[start - 1] == "."):
+        start -= 1
+    word = text[start:dot_index].lower().rstrip(".")
+    if word in repro.nlp.sentences._ABBREVIATIONS:
+        return True
+    if len(word) == 1 and word.isalpha():
+        return True
+    return "." in text[start:dot_index]
+
+
 def char_loop_split(text: str) -> list[str]:
     """Oracle for ``_raw_split``: a per-character buffer loop with the
     same abbreviation, decimal and trailing-quote rules."""
@@ -24,7 +41,7 @@ def char_loop_split(text: str) -> list[str]:
         buf.append(ch)
         i += 1
         if ch not in ".!?" or ch == "." and (
-                _is_abbreviation(text, i - 1)
+                char_loop_is_abbreviation(text, i - 1)
                 or (1 < i < n and text[i - 2].isdigit()
                     and text[i].isdigit())):
             continue
@@ -150,3 +167,31 @@ class TestScanExactness:
         assert char_loop_split(text) == _raw_split(text) == [
             "Inc. pays 2.5 dollars (e.g. you).", '"Done!"', "Then?", "end",
         ]
+
+
+#: letter/digit/period runs, including letters whose lower case is
+#: longer ("İ") and runs of bare periods
+_DOTTED_TEXT = st.lists(st.sampled_from([
+    ".", "..", "a", "a.", "Z", "7", "é", "İ", "ß", " ", "\n", "!", "?",
+    "-", "e.g", "i.e.", "Inc", "etc", "u.s.a", "v1.2", "x.y.z",
+]), max_size=40).map("".join)
+
+
+class TestAbbreviationScan:
+    """The walk that stops at the first earlier period decides exactly
+    what the whole-run walk did, in linear time."""
+
+    @given(_DOTTED_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_char_loop(self, text):
+        for i, ch in enumerate(text):
+            if ch == ".":
+                assert _is_abbreviation(text, i) == \
+                    char_loop_is_abbreviation(text, i), (text, i)
+
+    def test_long_dotted_run_is_linear(self):
+        # the whole-run walk costs ~1.25e9 steps here
+        text = "a." * 50_000
+        started = time.perf_counter()
+        assert split_sentences(text) == [text]
+        assert time.perf_counter() - started < 5.0

@@ -94,10 +94,14 @@ class TestAnalyzerBehaviour:
         analysis = analyzer.analyze("We collect your location.")
         assert "location" in analysis.collected
 
-    def test_cache_returns_same_object(self, analyzer):
+    def test_repeat_analysis_is_equal_and_independent(self, analyzer):
+        """The analyzer keeps no cache of its own (the pipeline's
+        artifact store is the one): a repeat gives an equal, fresh
+        analysis."""
         first = analyzer.analyze("We collect your location.")
         second = analyzer.analyze("We collect your location.")
-        assert first is second
+        assert first == second
+        assert first is not second
 
     def test_empty_policy(self, analyzer):
         analysis = analyzer.analyze("")

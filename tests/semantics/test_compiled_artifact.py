@@ -16,13 +16,11 @@ import pytest
 
 from repro.memo import cache_stats
 from repro.semantics.compiled import (
-    BACKEND,
     KB_ARTIFACT_STATS,
     KB_SCHEMA_VERSION,
     CompiledKB,
     CompiledKBError,
     _validate_layout,
-    _validate_layout_python,
     artifact_path,
     compile_kb,
     load_artifact,
@@ -148,20 +146,18 @@ class TestTelemetry:
 
 
 class TestValidatorBackends:
-    """The numpy bulk validator and the pure-Python scan must agree."""
+    """The one layout validator, reached both ways: called directly and
+    through the loader on an artifact whose checksum is intact but
+    whose arrays break the layout."""
 
-    def good(self) -> tuple[int, int, array, array, array]:
-        kb = compile_kb(ARTICLES)
-        return (len(kb.concepts), len(kb.terms), kb.offsets, kb.cids,
-                kb.weights)
-
-    def test_backend_is_reported(self):
-        assert BACKEND in ("numpy", "python")
+    def good(self) -> CompiledKB:
+        return compile_kb(ARTICLES)
 
     def test_both_accept_valid_layout(self):
-        n_concepts, n_terms, offsets, cids, weights = self.good()
-        _validate_layout(n_concepts, n_terms, offsets, cids, weights)
-        _validate_layout_python(n_concepts, offsets, cids)
+        kb = self.good()
+        _validate_layout(len(kb.concepts), len(kb.terms), kb.offsets,
+                         kb.cids, kb.weights)
+        _assert_same_kb(CompiledKB.from_bytes(kb.to_bytes()), kb)
 
     @pytest.mark.parametrize("mutate", [
         lambda o, c: (array("q", [o[1], o[0]] + list(o[2:])), c),
@@ -169,13 +165,17 @@ class TestValidatorBackends:
         lambda o, c: (o, array("i", [10 ** 6] + list(c[1:]))),
     ], ids=["nonmonotone_offsets", "negative_cid", "cid_out_of_range"])
     def test_both_reject_broken_layout(self, mutate):
-        n_concepts, n_terms, offsets, cids, weights = self.good()
-        bad_offsets, bad_cids = mutate(offsets, cids)
+        kb = self.good()
+        bad_offsets, bad_cids = mutate(kb.offsets, kb.cids)
         with pytest.raises(CompiledKBError):
-            _validate_layout(n_concepts, n_terms, bad_offsets, bad_cids,
-                             weights)
+            _validate_layout(len(kb.concepts), len(kb.terms),
+                             bad_offsets, bad_cids, kb.weights)
+        broken = CompiledKB(concepts=kb.concepts, terms=kb.terms,
+                            offsets=bad_offsets, cids=bad_cids,
+                            weights=kb.weights,
+                            articles_fp=kb.articles_fp)
         with pytest.raises(CompiledKBError):
-            _validate_layout_python(n_concepts, bad_offsets, bad_cids)
+            CompiledKB.from_bytes(broken.to_bytes())
 
 
 def _assert_same_kb(left: CompiledKB, right: CompiledKB) -> None:
