@@ -22,8 +22,8 @@ Subcommands::
 
     python -m repro.cli study [--apps N] [--seed S] [--json PATH]
             [--html PATH] [--workers N] [--cache-dir PATH]
-            [--store json|sqlite] [--max-retries N]
-            [--stage-timeout SECONDS] [--deadline SECONDS]
+            [--max-retries N] [--stage-timeout SECONDS]
+            [--deadline SECONDS]
             [--retry-budget TOKENS] [--retry-budget-refill PER_SECOND]
             [--keep-going | --no-keep-going]
             [--journal PATH] [--resume]
@@ -40,8 +40,8 @@ Subcommands::
         fans the checks out over N worker processes on the same
         consistent-hash plane as serve --shards, each building its
         checker from the same flags (tables are byte-identical to the
-        in-process run; pair with --cache-dir --store sqlite to share
-        one artifact cache).  --limit checks only the first N apps of
+        in-process run; with --cache-dir every worker shares one
+        artifact cache).  --limit checks only the first N apps of
         the corpus *without changing it* (unlike --apps, which
         regenerates a different corpus).
 
@@ -111,14 +111,13 @@ def _lib_policy_source(directory: str | None):
 
 def _checker_options(args: argparse.Namespace):
     """The checker recipe (:class:`repro.core.study.ShardOptions`)
-    from the shared --cache-dir/--store and resilience flags
+    from the shared --cache-dir and resilience flags
     (--max-retries / --stage-timeout / --fault-plan / --deadline /
     --retry-budget); subcommands without a flag get its default."""
     from repro.core.study import ShardOptions
 
     return ShardOptions(
         cache_dir=getattr(args, "cache_dir", None),
-        store_backend=getattr(args, "store", "json"),
         max_retries=getattr(args, "max_retries", 0),
         stage_timeout=getattr(args, "stage_timeout", None),
         fault_plan=getattr(args, "fault_plan", None),
@@ -519,7 +518,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_size=args.queue_size,
         cache_dir=args.cache_dir,
-        store_backend=args.store,
         completed_jobs=args.completed_jobs,
         cache_entries=args.cache_entries,
         max_retries=args.max_retries,
@@ -568,8 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cache_dir(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cache-dir", default=None,
-                       help="persist stage artifacts under this "
-                            "directory (reruns skip unchanged inputs)")
+                       help="persist stage artifacts in "
+                            "<dir>/artifacts.sqlite, shared by every "
+                            "process pointed at it (reruns skip "
+                            "unchanged inputs)")
 
     def add_journal(p: argparse.ArgumentParser) -> None:
         p.add_argument("--journal", default=None, metavar="PATH",
@@ -682,12 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "plane as serve --shards; the tables are "
                             "byte-identical to a single-process run "
                             "(default: 0 = in-process)")
-    study.add_argument("--store", default="json",
-                       choices=("json", "sqlite"),
-                       help="disk tier behind --cache-dir: one JSON "
-                            "file per artifact, or one sqlite "
-                            "database safe for concurrent --shards "
-                            "worker processes (default: json)")
     add_cache_dir(study)
     add_resilience(study, batch=True)
     add_journal(study)
@@ -736,18 +730,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "(atomically, after the listener binds) -- "
                           "with --port 0 this is how supervisors and "
                           "tests find the service without a port race")
-    srv.add_argument("--store", default="json",
-                     choices=("json", "sqlite"),
-                     help="disk tier behind --cache-dir: one JSON "
-                          "file per artifact, or one sqlite database "
-                          "safe for concurrent worker processes "
-                          "(default: json)")
     srv.add_argument("--shards", type=int, default=0, metavar="N",
                      help="run N pipeline worker *processes* behind "
                           "a lightweight accept process that routes "
                           "jobs by content hash; --workers becomes "
-                          "per-shard threads, --cache-dir becomes a "
-                          "shared sqlite artifact store, and a dead "
+                          "per-shard threads, every shard shares the "
+                          "--cache-dir artifact store, and a dead "
                           "shard is respawned with its journal "
                           "replayed (default: 0 = single process)")
     srv.add_argument("--workers", type=int, default=4,

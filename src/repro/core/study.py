@@ -493,12 +493,10 @@ class ShardOptions:
     single-process one.
     """
 
-    #: artifact cache directory shared by every shard (``None``
+    #: directory of the sqlite artifact store shared by every shard
+    #: (:class:`repro.pipeline.artifacts.SharedDiskStore`; ``None``
     #: disables the disk tier)
     cache_dir: str | None = None
-    #: ``"json"`` (one file per artifact) or ``"sqlite"`` (the
-    #: cross-process :class:`repro.pipeline.artifacts.SharedDiskStore`)
-    store_backend: str = "json"
     max_retries: int = 0
     stage_timeout: float | None = None
     #: path to a JSON fault plan (see :mod:`repro.pipeline.faults`)
@@ -517,8 +515,7 @@ class ShardOptions:
                   if self.retry_budget is not None else None)
         return PPChecker(
             lib_policy_source=lib_policy_source,
-            artifact_store=build_store(cache_dir=self.cache_dir,
-                                       backend=self.store_backend),
+            artifact_store=build_store(cache_dir=self.cache_dir),
             retry_policy=RetryPolicy(max_retries=self.max_retries,
                                      stage_timeout=self.stage_timeout,
                                      budget=budget),

@@ -112,10 +112,8 @@ def cache_stats() -> dict[str, dict[str, int]]:
     """Aggregated counters per cache name, over all live caches.
 
     Multiple caches may share a name (every :class:`EsaModel` instance
-    owns its own interpretation cache); their counters sum.  Cache
-    subclasses may report extra counters (e.g. the compiled-KB
-    artifact loader's ``warnings``); any numeric key beyond
-    ``max_entries`` sums like the standard ones.
+    owns its own interpretation cache); their counters sum, except
+    ``max_entries``, which takes the largest.
     """
     out: dict[str, dict[str, int]] = {}
     for cache in _live_caches():
@@ -123,11 +121,10 @@ def cache_stats() -> dict[str, dict[str, int]]:
             "hits": 0, "misses": 0, "entries": 0, "max_entries": 0,
         })
         stats = cache.stats()
-        for key, value in stats.items():
-            if key == "max_entries":
-                row[key] = max(row[key], value)
-            else:
-                row[key] = row.get(key, 0) + value
+        for key in ("hits", "misses", "entries"):
+            row[key] += stats[key]
+        row["max_entries"] = max(row["max_entries"],
+                                 stats["max_entries"])
     return {name: out[name] for name in sorted(out)}
 
 

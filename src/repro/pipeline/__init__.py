@@ -1,8 +1,8 @@
 """The staged, content-addressed PPChecker pipeline.
 
 - :mod:`repro.pipeline.stages`     stage names, cache-key recipes, codecs
-- :mod:`repro.pipeline.artifacts`  artifact stores (memory LRU, disk
-  JSON, shared sqlite, tiered) and the per-stage counters
+- :mod:`repro.pipeline.artifacts`  artifact stores (memory LRU, shared
+  sqlite, tiered) and the per-stage counters
 - :mod:`repro.pipeline.executor`   deterministic batch fan-out
 - :mod:`repro.pipeline.resilience` per-stage timeouts, bounded retries
   with deterministic backoff, :class:`StageError`
@@ -23,7 +23,6 @@ Typical use::
 from repro.pipeline.artifacts import (
     MISS,
     ArtifactStore,
-    DiskStore,
     MemoryStore,
     PipelineStats,
     SharedDiskStore,
@@ -57,7 +56,6 @@ __all__ = [
     "MISS",
     "ArtifactStore",
     "MemoryStore",
-    "DiskStore",
     "SharedDiskStore",
     "TieredStore",
     "build_store",

@@ -9,14 +9,12 @@ before?":
 
 - :class:`MemoryStore`     -- a bounded, thread-safe LRU holding live
   artifact objects; the default.
-- :class:`DiskStore`       -- one JSON document per artifact under a
-  cache directory, using the stage codecs from
-  :mod:`repro.pipeline.stages`; survives across processes and runs.
-- :class:`SharedDiskStore` -- one sqlite database shared by many
-  *concurrent* processes (the ``--shards N`` worker plane): writes
-  take a single-writer lease per key, readers always see either the
-  old or the new complete document, and a cache hit in one worker is
-  a hit in all.
+- :class:`SharedDiskStore` -- one sqlite database under a cache
+  directory, using the stage codecs from :mod:`repro.pipeline.stages`;
+  survives across processes and runs and is safe for many
+  *concurrent* processes (the ``--shards N`` worker planes): readers
+  always see either the old or the new complete document, and a
+  cache hit in one worker is a hit in all.
 - :class:`TieredStore`     -- memory in front of a disk tier,
   backfilling the memory layer on a disk hit.
 
@@ -30,13 +28,10 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import tempfile
 import threading
-import time
-import uuid
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
 #: Sentinel distinguishing "never computed" from a stored ``None``
@@ -87,142 +82,57 @@ class MemoryStore:
             self._entries.clear()
 
 
-class DiskStore:
-    """One ``<cache_dir>/<stage>/<digest>.json`` document per artifact.
+class SharedDiskStore:
+    """One ``<cache_dir>/artifacts.sqlite`` database, shared by every
+    process and thread that points at the same cache directory.
 
     ``codecs`` maps a stage name to an ``(encode, decode)`` pair
     translating between the live artifact and its JSON document (the
     registry lives in :data:`repro.pipeline.stages.STAGE_CODECS`).
     Stages without a codec are passed through untouched -- their
-    artifacts must already be JSON-serializable.  Writes go through a
-    temp file + atomic rename so concurrent writers can never expose a
-    torn document; with ``durable`` (the default) the temp file is
-    fsync'd before the rename and the directory after it, so a cached
-    artifact survives power loss, not just process death (an
-    un-fsync'd rename can be rolled back by the filesystem journal).
-    """
+    artifacts must already be JSON-serializable.
 
-    def __init__(
-        self,
-        cache_dir: str,
-        codecs: dict[str, tuple[Callable[[Any], Any],
-                                Callable[[Any], Any]]] | None = None,
-        durable: bool = True,
-    ) -> None:
-        if codecs is None:
-            from repro.pipeline.stages import STAGE_CODECS
-            codecs = STAGE_CODECS
-        self.cache_dir = cache_dir
-        self.codecs = codecs
-        self.durable = durable
-        os.makedirs(cache_dir, exist_ok=True)
-
-    def _path(self, stage: str, digest: str) -> str:
-        return os.path.join(self.cache_dir, stage, digest + ".json")
-
-    def get(self, stage: str, digest: str) -> Any:
-        path = self._path(stage, digest)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError):
-            # missing, unreadable, truncated, or not-JSON documents
-            # are cache misses, never crashes (ValueError covers both
-            # JSONDecodeError and UnicodeDecodeError on binary garbage)
-            return MISS
-        codec = self.codecs.get(stage)
-        if codec is None:
-            return doc
-        try:
-            return codec[1](doc)
-        except Exception:
-            # valid JSON but the wrong shape (a torn write that
-            # happened to parse, a document from an older schema):
-            # recompute rather than crash the whole batch
-            return MISS
-
-    def put(self, stage: str, digest: str, artifact: Any) -> None:
-        codec = self.codecs.get(stage)
-        doc = artifact if codec is None else codec[0](artifact)
-        path = self._path(stage, digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, sort_keys=True,
-                          separators=(",", ":"))
-                if self.durable:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            if self.durable:
-                from repro.durability.journal import fsync_dir
-
-                fsync_dir(os.path.dirname(path))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
-class SharedDiskStore:
-    """One sqlite database shared by many concurrent processes.
-
-    The sharded worker plane (``serve --shards N`` / ``study --shards
-    N``) points every worker at the same database so a cache hit in
-    one process is a hit in all.  The concurrency contract:
+    The concurrency contract:
 
     - **readers never tear**: an artifact row is replaced in a single
       transaction, so a reader racing a writer sees either the old or
       the new complete document, never a splice of both;
-    - **single-writer leases**: :meth:`acquire_lease` hands exclusive
-      compute rights for one ``(stage, digest)`` to one owner until it
-      releases or the lease expires -- workers racing on the same key
-      can elect one to run the stage while the rest wait for the row;
-    - **writes are advisory**: :meth:`put` under a live foreign lease,
-      or against a momentarily locked database, quietly drops the
-      write.  A lost cache write is a future miss, never an error.
+    - **writes are advisory**: a :meth:`put` against a database that
+      stays locked past the busy timeout quietly drops the write.  A
+      lost cache write is a future miss, never an error.
 
-    Failure tolerance matches :class:`DiskStore`: a missing, corrupt,
-    or wrong-schema row decodes to :data:`MISS` and is recomputed.
+    A missing, corrupt, or wrong-schema row -- or a database file
+    that cannot be read at all -- decodes to :data:`MISS` and is
+    recomputed.
     """
-
-    #: seconds before an unreleased lease is considered abandoned
-    #: (a SIGKILL'd worker must not wedge its keys forever)
-    LEASE_TTL = 60.0
 
     def __init__(
         self,
         cache_dir: str,
         codecs: dict[str, tuple[Callable[[Any], Any],
                                 Callable[[Any], Any]]] | None = None,
-        lease_ttl: float = LEASE_TTL,
         busy_timeout: float = 5.0,
     ) -> None:
         if codecs is None:
             from repro.pipeline.stages import STAGE_CODECS
             codecs = STAGE_CODECS
         self.codecs = codecs
-        self.lease_ttl = lease_ttl
         self.busy_timeout = busy_timeout
         os.makedirs(cache_dir, exist_ok=True)
         self.path = os.path.join(cache_dir, "artifacts.sqlite")
-        #: lease identity: unique per store instance so two stores in
-        #: one process (or a respawned worker) never collide
-        self.owner = f"{os.getpid()}-{uuid.uuid4().hex[:12]}"
         self._local = threading.local()
-        with self._begin() as conn:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS artifacts ("
-                " stage TEXT NOT NULL, digest TEXT NOT NULL,"
-                " doc TEXT NOT NULL,"
-                " PRIMARY KEY (stage, digest))")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS leases ("
-                " stage TEXT NOT NULL, digest TEXT NOT NULL,"
-                " owner TEXT NOT NULL, expires REAL NOT NULL,"
-                " PRIMARY KEY (stage, digest))")
+        try:
+            with self._begin() as conn:
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS artifacts ("
+                    " stage TEXT NOT NULL, digest TEXT NOT NULL,"
+                    " doc TEXT NOT NULL,"
+                    " PRIMARY KEY (stage, digest))")
+        except sqlite3.Error:
+            # a file that is not a database (or one locked past the
+            # busy timeout) leaves every get a miss and every put
+            # dropped, as for damage found after opening
+            pass
 
     # -- connection management --------------------------------------------
 
@@ -298,79 +208,14 @@ class SharedDiskStore:
                              separators=(",", ":"))
         try:
             with self._begin() as conn:
-                if self._foreign_lease(conn, stage, digest):
-                    return
                 conn.execute(
                     "INSERT OR REPLACE INTO artifacts "
                     "(stage, digest, doc) VALUES (?, ?, ?)",
                     (stage, digest, payload))
-                conn.execute(
-                    "DELETE FROM leases WHERE stage = ? AND "
-                    "digest = ? AND owner = ?",
-                    (stage, digest, self.owner))
         except sqlite3.Error:
             # a contended or momentarily unavailable database drops
             # the write -- the artifact is recomputed on the next miss
             return
-
-    # -- leases ------------------------------------------------------------
-
-    def _foreign_lease(self, conn: sqlite3.Connection, stage: str,
-                       digest: str) -> bool:
-        row = conn.execute(
-            "SELECT owner, expires FROM leases WHERE stage = ? "
-            "AND digest = ?", (stage, digest)).fetchone()
-        return (row is not None and row[0] != self.owner
-                and row[1] > time.time())
-
-    def acquire_lease(self, stage: str, digest: str) -> bool:
-        """Try to become the single writer for ``(stage, digest)``.
-
-        True when this store now holds the lease (fresh, re-entrant,
-        or stolen from an expired owner); False while another live
-        owner holds it."""
-        now = time.time()
-        try:
-            with self._begin() as conn:
-                row = conn.execute(
-                    "SELECT owner, expires FROM leases WHERE "
-                    "stage = ? AND digest = ?",
-                    (stage, digest)).fetchone()
-                if (row is not None and row[0] != self.owner
-                        and row[1] > now):
-                    return False
-                conn.execute(
-                    "INSERT OR REPLACE INTO leases "
-                    "(stage, digest, owner, expires) "
-                    "VALUES (?, ?, ?, ?)",
-                    (stage, digest, self.owner,
-                     now + self.lease_ttl))
-                return True
-        except sqlite3.Error:
-            return False
-
-    def release_lease(self, stage: str, digest: str) -> None:
-        """Give up a held lease (no-op for leases held by others)."""
-        try:
-            with self._begin() as conn:
-                conn.execute(
-                    "DELETE FROM leases WHERE stage = ? AND "
-                    "digest = ? AND owner = ?",
-                    (stage, digest, self.owner))
-        except sqlite3.Error:
-            pass
-
-    def lease_holder(self, stage: str, digest: str) -> str | None:
-        """The live lease owner id, or None (expired counts as none)."""
-        try:
-            row = self._conn().execute(
-                "SELECT owner, expires FROM leases WHERE stage = ? "
-                "AND digest = ?", (stage, digest)).fetchone()
-        except sqlite3.Error:
-            return None
-        if row is None or row[1] <= time.time():
-            return None
-        return row[0]
 
     def __len__(self) -> int:
         try:
@@ -391,11 +236,11 @@ class SharedDiskStore:
 
 
 class TieredStore:
-    """Memory in front of a disk tier (:class:`DiskStore` or
-    :class:`SharedDiskStore`); disk hits backfill the memory layer."""
+    """Memory in front of a :class:`SharedDiskStore`; disk hits
+    backfill the memory layer."""
 
     def __init__(self, memory: MemoryStore,
-                 disk: "DiskStore | SharedDiskStore") -> None:
+                 disk: SharedDiskStore) -> None:
         self.memory = memory
         self.disk = disk
 
@@ -414,28 +259,13 @@ class TieredStore:
 
 
 def build_store(cache_dir: str | None = None,
-                max_entries: int = 8192,
-                backend: str = "json") -> ArtifactStore:
-    """The default store layout: in-memory LRU, plus a disk tier when
-    a cache directory is given.
-
-    ``backend`` selects the disk tier: ``"json"`` (one file per
-    artifact, single-process writers) or ``"sqlite"`` (one shared
-    database safe for many concurrent worker processes -- what the
-    ``--shards N`` planes use).
-    """
+                max_entries: int = 8192) -> ArtifactStore:
+    """The default store layout: in-memory LRU, plus the shared sqlite
+    tier when a cache directory is given."""
     memory = MemoryStore(max_entries=max_entries)
     if cache_dir is None:
         return memory
-    if backend == "json":
-        disk: DiskStore | SharedDiskStore = DiskStore(cache_dir)
-    elif backend == "sqlite":
-        disk = SharedDiskStore(cache_dir)
-    else:
-        raise ValueError(
-            f"unknown artifact store backend {backend!r} "
-            "(expected 'json' or 'sqlite')")
-    return TieredStore(memory, disk)
+    return TieredStore(memory, SharedDiskStore(cache_dir))
 
 
 # -- counters ------------------------------------------------------------
@@ -567,7 +397,6 @@ __all__ = [
     "MISS",
     "ArtifactStore",
     "MemoryStore",
-    "DiskStore",
     "SharedDiskStore",
     "TieredStore",
     "build_store",

@@ -25,7 +25,7 @@ adjustment of :class:`repro.core.extended.ExtendedPPChecker`) gets its
 own detect key even though the raw policy text is unchanged.
 
 ``STAGE_CODECS`` maps each stage to the ``(encode, decode)`` pair the
-:class:`repro.pipeline.artifacts.DiskStore` uses; live artifacts keep
+:class:`repro.pipeline.artifacts.SharedDiskStore` uses; live artifacts keep
 their types, documents are plain JSON (same idiom as
 :mod:`repro.android.serialization`).
 """

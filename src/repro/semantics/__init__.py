@@ -9,16 +9,10 @@ the detectors reason about, and keep the paper's interface and 0.67
 decision threshold.
 """
 
-from repro.semantics.compiled import (
-    CompiledKB,
-    CompiledKBError,
-    compile_kb,
-    load_or_compile,
-)
+from repro.semantics.compiled import CompiledKB, compile_kb
 from repro.semantics.resources import (
     InfoType,
     INFO_TYPES,
-    load_compiled_kb,
     normalize_resource,
 )
 from repro.semantics.esa import (
@@ -39,8 +33,5 @@ __all__ = [
     "similarity_many",
     "match_sets",
     "CompiledKB",
-    "CompiledKBError",
     "compile_kb",
-    "load_or_compile",
-    "load_compiled_kb",
 ]

@@ -103,9 +103,8 @@ class EsaModel:
 
     articles: dict[str, str]
     threshold: float = DEFAULT_THRESHOLD
-    #: precompiled knowledge base; compiled from ``articles`` when not
-    #: supplied (``default_model`` loads it from the binary artifact)
-    kb: CompiledKB | None = field(default=None, repr=False)
+    #: the packed knowledge base, compiled from ``articles``
+    kb: CompiledKB = field(init=False, repr=False)
     _concepts: list[str] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -117,8 +116,7 @@ class EsaModel:
         # detectors probe with repeat across thousands of calls
         self._group_cache = MemoCache("esa_group_index",
                                       max_entries=8192)
-        if self.kb is None:
-            self.kb = compile_kb(self.articles)
+        self.kb = compile_kb(self.articles)
         self._concepts = list(self.kb.concepts)
 
     def fingerprint(self) -> str:
@@ -336,18 +334,11 @@ _DEFAULT: EsaModel | None = None
 
 
 def default_model() -> EsaModel:
-    """The process-wide ESA model over the embedded knowledge base.
-
-    The compiled knowledge base loads from the versioned binary
-    artifact when one verifies (see
-    :func:`repro.semantics.resources.load_compiled_kb`), falling back
-    to an in-memory compile."""
+    """The process-wide ESA model over the embedded knowledge base,
+    compiled in memory on first use."""
     global _DEFAULT
     if _DEFAULT is None:
-        from repro.semantics.resources import load_compiled_kb
-
-        _DEFAULT = EsaModel(CONCEPT_ARTICLES,
-                            kb=load_compiled_kb(CONCEPT_ARTICLES))
+        _DEFAULT = EsaModel(CONCEPT_ARTICLES)
     return _DEFAULT
 
 

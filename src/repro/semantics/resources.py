@@ -16,12 +16,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.semantics.compiled import (
-    CompiledKB,
-    default_artifact_dir,
-    load_or_compile,
-)
-
 
 class InfoType(enum.Enum):
     """Canonical categories of private information."""
@@ -211,27 +205,6 @@ def normalize_resource(phrase: str) -> InfoType | None:
     return _ALIAS_INDEX.get(key)
 
 
-def load_compiled_kb(articles: dict[str, str],
-                     directory: str | None = None) -> CompiledKB:
-    """The startup entry point for the compiled ESA knowledge base.
-
-    Loads the versioned binary artifact for *articles* from
-    *directory* (default: :func:`~repro.semantics.compiled.
-    default_artifact_dir`, honouring ``REPRO_KB_CACHE_DIR``) when one
-    exists and verifies, otherwise compiles from source and persists
-    a fresh artifact.  Corruption falls back to recompilation and
-    bumps the ``esa_kb_artifact`` warning counter in the
-    ``nlp_caches`` telemetry -- never a crash, never unverified
-    weights.
-    """
-    return load_or_compile(articles, directory)
-
-
-def kb_artifact_dir() -> str | None:
-    """Where the compiled-KB artifacts live (None: persistence off)."""
-    return default_artifact_dir()
-
-
 def aliases_of(info: InfoType) -> tuple[str, ...]:
     return INFO_TYPES[info].aliases
 
@@ -247,6 +220,4 @@ __all__ = [
     "normalize_resource",
     "aliases_of",
     "permissions_for",
-    "load_compiled_kb",
-    "kb_artifact_dir",
 ]

@@ -28,9 +28,8 @@ from repro.service.jobs import Job, JobQueue, QueueFull, ServiceDraining
 from repro.service.metrics import MetricsRegistry, ServiceMetrics
 from repro.service.runner import PipelineRunner, ServiceConfig
 from repro.service.hashring import HashRing, ring_for, shard_name
+from repro.service.transport import DEADLINE_FIELD, DEADLINE_HEADER
 from repro.service.server import (
-    DEADLINE_FIELD,
-    DEADLINE_HEADER,
     CheckService,
     DeadlineExpired,
     ServiceHandle,

@@ -21,9 +21,10 @@ and dead-letter queue.  The front:
   ``/metrics`` (routing counters, shard liveness, restarts).
 
 Shards share one artifact database
-(:class:`~repro.pipeline.artifacts.SharedDiskStore`, ``--store
-sqlite``) when ``--cache-dir`` is set, so a cache hit in one worker
-process is a hit in all.
+(:class:`~repro.pipeline.artifacts.SharedDiskStore`,
+``<cache-dir>/artifacts.sqlite``) when ``--cache-dir`` is set, so a
+cache hit in one worker process is a hit in all -- and in every later
+``check``, ``batch-check`` or ``study`` pointed at the same directory.
 """
 
 from __future__ import annotations
@@ -49,17 +50,13 @@ from repro.service.breaker import CLOSED, CircuitBreaker, LatencyTracker
 from repro.service.hashring import HashRing, shard_name
 from repro.service.metrics import CallbackGaugeFamily, MetricsRegistry
 from repro.service.runner import shed_error
-from repro.service.server import (
+from repro.service.server import _write_port_file, read_port_file
+from repro.service.transport import (
     DEADLINE_FIELD,
     DEADLINE_HEADER,
-    InvalidDeadline,
-    _write_port_file,
-    parse_deadline_seconds,
-    read_port_file,
-)
-from repro.service.transport import (
     JOB_PATH,
     ConnectionPool,
+    InvalidDeadline,
     JSONHandler,
     KeepAliveHTTPServer,
 )
@@ -161,8 +158,7 @@ class ShardProcess:
                "--completed-jobs", str(config.completed_jobs),
                "--cache-entries", str(config.cache_entries)]
         if config.cache_dir is not None:
-            cmd += ["--cache-dir", config.cache_dir,
-                    "--store", "sqlite"]
+            cmd += ["--cache-dir", config.cache_dir]
         if config.state_dir is not None:
             cmd += ["--state-dir",
                     os.path.join(config.state_dir, self.name)]
@@ -490,21 +486,6 @@ class _FrontHandler(JSONHandler):
                 self._send_error_json(404, "not_found",
                                       f"no such endpoint: {path}")
 
-    def _request_deadline(self, doc: Any) -> Deadline | None:
-        """The submission's deadline, from the reserved ``deadline_s``
-        field (popped before the routing fingerprint) or the
-        ``X-Ppchecker-Deadline`` header; the field wins.  The front
-        starts the clock here and forwards the *remaining* budget to
-        whichever shard finally takes the work."""
-        value: Any = None
-        if isinstance(doc, dict) and DEADLINE_FIELD in doc:
-            value = doc.pop(DEADLINE_FIELD)
-        elif self.headers.get(DEADLINE_HEADER) is not None:
-            value = self.headers.get(DEADLINE_HEADER)
-        if value is None:
-            return None
-        return Deadline.after(parse_deadline_seconds(value))
-
     def _send_shed(self, deadline: Deadline | None) -> None:
         self.front.metrics.deadline_shed.inc()
         self._send_json(504, versioned({
@@ -517,10 +498,14 @@ class _FrontHandler(JSONHandler):
         if doc is None:
             return
         try:
-            deadline = self._request_deadline(doc)
+            # the front starts the clock here and forwards the
+            # *remaining* budget to whichever shard takes the work
+            seconds = self.request_deadline(doc)
         except InvalidDeadline as exc:
             self._send_error_json(400, "bad_request", str(exc))
             return
+        deadline = (Deadline.after(seconds)
+                    if seconds is not None else None)
         try:
             shard, status, headers, payload = \
                 self.front.submit_to_shard(doc, path,

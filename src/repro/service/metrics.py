@@ -381,9 +381,7 @@ class ServiceMetrics:
             def sample() -> dict[str, float]:
                 from repro.memo import cache_stats
 
-                # not every cache reports every field (only the
-                # compiled-KB artifact ladder counts ``warnings``)
-                return {name: float(row.get(field_name, 0))
+                return {name: float(row[field_name])
                         for name, row in cache_stats().items()}
             return sample
 
@@ -401,12 +399,6 @@ class ServiceMetrics:
             "ppchecker_nlp_cache_entries",
             "Live entries in each NLP/ESA memo cache.",
             "cache", _cache_field("entries"),
-        ))
-        self.nlp_cache_warnings = r.register(CallbackGaugeFamily(
-            "ppchecker_nlp_cache_warnings",
-            "Recovered corruption warnings (compiled-KB artifact "
-            "ladder), by cache.",
-            "cache", _cache_field("warnings"),
         ))
 
     # -- late-bound gauges -------------------------------------------------

@@ -1,11 +1,12 @@
 """The shared pipeline behind the service, and its worker pool.
 
 :class:`PipelineRunner` owns one :class:`~repro.core.checker.PPChecker`
-built from the :class:`ServiceConfig` -- a tiered artifact store when
-``cache_dir`` is set, the configured retry policy, and an optional
-fault plan -- and executes jobs with quarantine semantics: a failing
-check becomes a structured :class:`~repro.core.report.AppFailure`
-document, never an unhandled exception.
+built from the :class:`ServiceConfig` -- memory in front of the shared
+sqlite artifact store when ``cache_dir`` is set, the configured retry
+policy, and an optional fault plan -- and executes jobs with
+quarantine semantics: a failing check becomes a structured
+:class:`~repro.core.report.AppFailure` document, never an unhandled
+exception.
 
 :class:`WorkerPool` runs N daemon threads draining the
 :class:`~repro.service.jobs.JobQueue` through the runner.  Workers
@@ -55,12 +56,10 @@ class ServiceConfig:
     port_file: str | None = None
     workers: int = 4
     queue_size: int = 64
+    #: directory of the shared sqlite artifact store
+    #: (:class:`~repro.pipeline.artifacts.SharedDiskStore`); a
+    #: ``--shards N`` cluster points every shard at the same one
     cache_dir: str | None = None
-    #: disk tier behind ``cache_dir``: ``"json"`` (one file per
-    #: artifact) or ``"sqlite"`` (the cross-process
-    #: :class:`~repro.pipeline.artifacts.SharedDiskStore` the
-    #: ``--shards N`` worker plane points every shard at)
-    store_backend: str = "json"
     #: memory-tier artifact cache capacity (entries).  Per process:
     #: a ``--shards N`` cluster holds N times this many in aggregate,
     #: with content-hash routing keeping each shard's share resident.
@@ -160,7 +159,6 @@ class PipelineRunner:
             artifact_store=build_store(
                 cache_dir=config.cache_dir,
                 max_entries=config.cache_entries,
-                backend=config.store_backend,
             ),
             retry_policy=RetryPolicy(
                 max_retries=config.max_retries,

@@ -48,25 +48,14 @@ from repro.service.runner import (
 )
 from repro.service.transport import (
     JOB_PATH,
+    InvalidDeadline,
     JSONHandler,
     KeepAliveHTTPServer,
 )
 
-#: request-level deadline intake: relative seconds, as an HTTP header
-#: or a reserved top-level key in the bundle document.  The field is
-#: stripped before parsing/fingerprinting, so the same bundle with
-#: different deadlines still shares one content hash (coalescing and
-#: cluster routing stay deadline-blind).
-DEADLINE_HEADER = "X-Ppchecker-Deadline"
-DEADLINE_FIELD = "deadline_s"
-
 
 class InvalidBundle(ValueError):
     """The request body is JSON but not a valid bundle document."""
-
-
-class InvalidDeadline(ValueError):
-    """The request's deadline header/field is not a positive number."""
 
 
 class DeadlineExpired(RuntimeError):
@@ -76,21 +65,6 @@ class DeadlineExpired(RuntimeError):
     def __init__(self, error: dict) -> None:
         self.error = error
         super().__init__(error.get("message", "deadline expired"))
-
-
-def parse_deadline_seconds(value: Any) -> float:
-    """A deadline is a finite, positive number of seconds."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDeadline(
-            f"deadline must be a number of seconds: {value!r}"
-        ) from exc
-    if not seconds > 0 or seconds != seconds or seconds == float("inf"):
-        raise InvalidDeadline(
-            f"deadline must be a finite positive number of seconds: "
-            f"{value!r}")
-    return seconds
 
 
 class CheckService:
@@ -328,21 +302,6 @@ class _Handler(JSONHandler):
     def _load_retry_after(self) -> str:
         return str(self.service.retry_after_seconds())
 
-    def _request_deadline(self, doc: Any) -> float | None:
-        """The request's relative deadline in seconds, from the
-        reserved ``deadline_s`` document field (popped -- it must
-        never reach the fingerprint) or the ``X-Ppchecker-Deadline``
-        header; the field wins when both are present.  Raises
-        :class:`InvalidDeadline` on garbage."""
-        value: Any = None
-        if isinstance(doc, dict) and DEADLINE_FIELD in doc:
-            value = doc.pop(DEADLINE_FIELD)
-        elif self.headers.get(DEADLINE_HEADER) is not None:
-            value = self.headers.get(DEADLINE_HEADER)
-        if value is None:
-            return None
-        return parse_deadline_seconds(value)
-
     def _send_shed(self, error: dict, job_id: str | None = None,
                    ) -> None:
         """The 504-style structured payload for shed work, with the
@@ -358,7 +317,7 @@ class _Handler(JSONHandler):
         """Submit, translating intake failures to responses."""
         try:
             deadline = self.service.deadline_for(
-                self._request_deadline(doc))
+                self.request_deadline(doc))
             return self.service.submit(doc, deadline=deadline)
         except ServiceDraining:
             self._send_error_json(
@@ -496,7 +455,7 @@ class _Handler(JSONHandler):
         for bundle_doc in bundles:
             try:
                 deadline = self.service.deadline_for(
-                    self._request_deadline(bundle_doc))
+                    self.request_deadline(bundle_doc))
                 job, _ = self.service.submit(bundle_doc,
                                              deadline=deadline)
                 slots.append(job)
@@ -667,13 +626,9 @@ def serve(config: ServiceConfig) -> int:
 
 __all__ = [
     "CheckService",
-    "DEADLINE_FIELD",
-    "DEADLINE_HEADER",
     "DeadlineExpired",
     "InvalidBundle",
-    "InvalidDeadline",
     "ServiceHandle",
-    "parse_deadline_seconds",
     "read_port_file",
     "start_service",
     "serve",

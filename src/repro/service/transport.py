@@ -17,7 +17,8 @@ open between requests:
   server-side base.  Accepted sockets have Nagle off, a connection
   idle for :data:`IDLE_TIMEOUT_S` is closed, a draining server
   answers with ``Connection: close``, and after ``server_close()`` a
-  kept connection is served nothing more.
+  kept connection is served nothing more.  Both servers read a
+  request's deadline through :meth:`JSONHandler.request_deadline`.
 
 Nagle matters because ``http.server`` writes the headers and the body
 of a response in two sends: with Nagle on, the body waits for the
@@ -50,6 +51,33 @@ IDLE_TIMEOUT_S = 30.0
 POOL_IDLE_S = IDLE_TIMEOUT_S / 2
 #: idle connections a pool keeps per ``(host, port)``; more are closed
 POOL_MAX_IDLE = 8
+
+#: request-level deadline intake: relative seconds, as an HTTP header
+#: or a reserved top-level key in the bundle document.  The field is
+#: stripped before parsing/fingerprinting, so the same bundle with
+#: different deadlines still shares one content hash (coalescing and
+#: cluster routing stay deadline-blind).
+DEADLINE_HEADER = "X-Ppchecker-Deadline"
+DEADLINE_FIELD = "deadline_s"
+
+
+class InvalidDeadline(ValueError):
+    """The request's deadline header/field is not a positive number."""
+
+
+def parse_deadline_seconds(value: Any) -> float:
+    """A deadline is a finite, positive number of seconds."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDeadline(
+            f"deadline must be a number of seconds: {value!r}"
+        ) from exc
+    if not seconds > 0 or seconds != seconds or seconds == float("inf"):
+        raise InvalidDeadline(
+            f"deadline must be a finite positive number of seconds: "
+            f"{value!r}")
+    return seconds
 
 
 class ConnectionPool:
@@ -280,6 +308,23 @@ class JSONHandler(BaseHTTPRequestHandler):
         self.wfile.flush()
         return True
 
+    # -- requests ----------------------------------------------------------
+
+    def request_deadline(self, doc: Any) -> float | None:
+        """The request's relative deadline in seconds, from the
+        reserved ``deadline_s`` document field (popped -- it must
+        never reach the fingerprint) or the ``X-Ppchecker-Deadline``
+        header; the field wins when both are present.  Raises
+        :class:`InvalidDeadline` on garbage."""
+        value: Any = None
+        if isinstance(doc, dict) and DEADLINE_FIELD in doc:
+            value = doc.pop(DEADLINE_FIELD)
+        elif self.headers.get(DEADLINE_HEADER) is not None:
+            value = self.headers.get(DEADLINE_HEADER)
+        if value is None:
+            return None
+        return parse_deadline_seconds(value)
+
     # -- responses ---------------------------------------------------------
 
     def _endpoint(self) -> str:
@@ -345,10 +390,14 @@ class JSONHandler(BaseHTTPRequestHandler):
 
 __all__ = [
     "ConnectionPool",
+    "DEADLINE_FIELD",
+    "DEADLINE_HEADER",
     "IDLE_TIMEOUT_S",
+    "InvalidDeadline",
     "JOB_PATH",
     "JSONHandler",
     "KeepAliveHTTPServer",
     "POOL_IDLE_S",
     "POOL_MAX_IDLE",
+    "parse_deadline_seconds",
 ]

@@ -32,6 +32,7 @@ from repro.core.study import (
     run_study_streaming,
 )
 from repro.corpus.appstore import CorpusSpec
+from repro.pipeline.stages import STAGES
 
 
 def canonical(doc):
@@ -71,8 +72,7 @@ def total_hits(result) -> int:
 class TestShardedStudyEquivalence:
     def test_cold_and_warm_match_serial(self, tmp_path, small_store):
         base = run_study(small_store)
-        options = ShardOptions(cache_dir=str(tmp_path / "cache"),
-                               store_backend="sqlite")
+        options = ShardOptions(cache_dir=str(tmp_path / "cache"))
         cold = run_study(CorpusSpec(n_apps=64), shards=4,
                          shard_options=options)
         warm = run_study(CorpusSpec(n_apps=64), shards=4,
@@ -82,6 +82,25 @@ class TestShardedStudyEquivalence:
         # the warm pass really re-read the shared sqlite store: every
         # stage request that executed cold is a hit warm
         assert total_hits(warm) > total_hits(cold)
+
+    def test_sharded_cache_serves_the_check_recipe(self, tmp_path):
+        """A cache filled by the process plane is all hits for the
+        checker ``check`` builds (the default recipe over the same
+        ``--cache-dir``): one on-disk layout serves every plane."""
+        spec = CorpusSpec(n_apps=16)
+        cache = str(tmp_path / "cache")
+        run_study(spec, shards=2,
+                  shard_options=ShardOptions(cache_dir=cache))
+        checker = ShardOptions(cache_dir=cache).build_checker(
+            spec.lib_policy)
+        for app in spec.iter_apps():
+            checker.check(app.bundle)
+        stats = checker.stats.to_dict()
+        assert set(stats) == set(STAGES)
+        for stage, row in stats.items():
+            assert row["cache_hits"] > 0, stage
+            assert row["executions"] == 0, stage
+            assert row["failures"] == 0, stage
 
     def test_shard_count_never_changes_the_tables(self):
         results = [run_study(CorpusSpec(n_apps=32), shards=shards)
@@ -145,8 +164,7 @@ class TestShardedStudyEquivalence:
     def test_full_1197_study_cold_and_warm(self, tmp_path,
                                            full_store, checker):
         base = run_study(full_store, checker=checker)
-        options = ShardOptions(cache_dir=str(tmp_path / "cache"),
-                               store_backend="sqlite")
+        options = ShardOptions(cache_dir=str(tmp_path / "cache"))
         cold = run_study(CorpusSpec(), shards=4,
                          shard_options=options)
         warm = run_study(CorpusSpec(), shards=4,
@@ -177,9 +195,13 @@ class TestShardedStudyCli:
             out = str(tmp_path / name)
             run = run_cli(["study", "--apps", str(self.N_APPS),
                            "--shards", "3", "--cache-dir", cache,
-                           "--store", "sqlite", "--json", out], env)
+                           "--json", out], env)
             assert run.returncode == 0, run.stdout + run.stderr
             assert stripped(out) == stripped(ref_json)
+        # the one on-disk layout: the database and its WAL sidecars
+        assert set(os.listdir(cache)) <= {
+            "artifacts.sqlite", "artifacts.sqlite-wal",
+            "artifacts.sqlite-shm"}
 
         def tables(text):
             return text[text.index("== study summary =="):

@@ -3,7 +3,9 @@
 A fresh interpreter started with ``-S`` (no site-packages) and only
 ``src`` on its path imports every ``repro`` module and runs one full
 ``PPChecker.check``.  networkx and numpy are test-only: neither may be
-imported by the program, so a cold start never pays for them.
+imported by the program, so a cold start never pays for them.  The
+check leaves nothing behind in ``$HOME`` either: the ESA knowledge
+base compiles in memory.
 """
 
 from __future__ import annotations
@@ -43,11 +45,14 @@ print(json.dumps({
 
 
 def test_every_module_imports_and_checks_without_site_packages(tmp_path):
+    home = tmp_path / "home"
+    home.mkdir()
     env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC,
-           "PYTHONHASHSEED": "0", "REPRO_KB_CACHE_DIR": str(tmp_path)}
+           "PYTHONHASHSEED": "0", "HOME": str(home)}
     proc = subprocess.run([sys.executable, "-S", "-c", SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert list(home.iterdir()) == []
     result = json.loads(proc.stdout.splitlines()[-1])
     assert "repro.android.graph" in result["modules"]
     assert "repro.cli" in result["modules"]

@@ -1,15 +1,18 @@
 """Artifact stores, cache keys, and counters."""
 
+import os
+import sqlite3
 import threading
 
 import pytest
 
+from repro.core.report import AppReport
 from repro.hashing import canonical_json, fingerprint, fingerprint_text
 from repro.pipeline.artifacts import (
     MISS,
-    DiskStore,
     MemoryStore,
     PipelineStats,
+    SharedDiskStore,
     TieredStore,
     build_store,
 )
@@ -72,78 +75,78 @@ class TestMemoryStore:
         assert len(store) <= 64
 
 
+SQLITE_FILES = {"artifacts.sqlite", "artifacts.sqlite-wal",
+                "artifacts.sqlite-shm"}
+
+
+def damage_row(store: SharedDiskStore, stage: str, digest: str,
+               doc: str) -> None:
+    """Overwrite the stored document of one existing row, bypassing
+    the codec -- how a torn page or an older writer's document reaches
+    a later run."""
+    conn = sqlite3.connect(store.path)
+    updated = conn.execute(
+        "UPDATE artifacts SET doc = ? WHERE stage = ? AND digest = ?",
+        (doc, stage, digest)).rowcount
+    conn.commit()
+    conn.close()
+    assert updated == 1
+
+
 class TestDiskStore:
+    """The disk tier that ``build_store(cache_dir=...)`` puts behind
+    the memory LRU, seen across runs: one run writes, a fresh store on
+    the same directory (the next run) reads.  Concurrent processes on
+    one database are ``tests/pipeline/test_shared_store.py``."""
+
+    @staticmethod
+    def runs(tmp_path) -> tuple[SharedDiskStore, SharedDiskStore]:
+        return (build_store(cache_dir=str(tmp_path)).disk,
+                build_store(cache_dir=str(tmp_path)).disk)
+
     def test_roundtrip_with_codec(self, tmp_path, analyzer):
-        store = DiskStore(str(tmp_path))
+        first, second = self.runs(tmp_path)
         analysis = analyzer.analyze(
             "We collect your location. We do not share your contacts."
         )
-        store.put(stages.POLICY_ANALYSIS, "d1", analysis)
-        loaded = store.get(stages.POLICY_ANALYSIS, "d1")
+        first.put(stages.POLICY_ANALYSIS, "d1", analysis)
+        loaded = second.get(stages.POLICY_ANALYSIS, "d1")
         assert loaded is not analysis
         assert loaded.to_dict() == analysis.to_dict()
+        # the database and its WAL sidecars are the whole layout
+        assert set(os.listdir(tmp_path)) <= SQLITE_FILES
 
     def test_missing_and_corrupt_documents_are_misses(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        assert store.get(stages.DETECT, "nope") is MISS
-        bad = tmp_path / stages.DETECT
-        bad.mkdir()
-        (bad / "broken.json").write_text("{not json")
-        assert store.get(stages.DETECT, "broken") is MISS
+        first, second = self.runs(tmp_path)
+        assert second.get(stages.DETECT, "nope") is MISS
+        first.put(stages.DETECT, "broken", AppReport(package="com.x"))
+        damage_row(first, stages.DETECT, "broken", "{not json")
+        assert second.get(stages.DETECT, "broken") is MISS
 
     def test_wrong_schema_document_is_a_miss(self, tmp_path):
         # valid JSON whose shape the codec rejects: recompute, don't
         # crash the stage
-        store = DiskStore(str(tmp_path))
-        bad = tmp_path / stages.POLICY_ANALYSIS
-        bad.mkdir()
-        (bad / "odd.json").write_text('[1, 2, 3]')
-        assert store.get(stages.POLICY_ANALYSIS, "odd") is MISS
+        first, second = self.runs(tmp_path)
+        first.put(stages.DETECT, "odd", AppReport(package="com.x"))
+        damage_row(first, stages.DETECT, "odd", "[1, 2, 3]")
+        assert second.get(stages.DETECT, "odd") is MISS
 
     def test_none_lib_analysis_roundtrips(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        store.put(stages.LIB_POLICY_ANALYSIS, "d", None)
-        assert store.get(stages.LIB_POLICY_ANALYSIS, "d") is None
+        first, second = self.runs(tmp_path)
+        first.put(stages.LIB_POLICY_ANALYSIS, "d", None)
+        assert second.get(stages.LIB_POLICY_ANALYSIS, "d") is None
 
     def test_permission_set_roundtrips_as_set(self, tmp_path):
-        store = DiskStore(str(tmp_path))
+        first, second = self.runs(tmp_path)
         perms = {"android.permission.CAMERA",
                  "android.permission.READ_CONTACTS"}
-        store.put(stages.DESCRIPTION_PERMISSIONS, "d", perms)
-        assert store.get(stages.DESCRIPTION_PERMISSIONS, "d") == perms
-
-    def test_durable_put_fsyncs_file_and_directory(self, tmp_path,
-                                                   monkeypatch):
-        import os as os_module
-
-        synced = []
-        real_fsync = os_module.fsync
-
-        def spy(fd):
-            synced.append(fd)
-            real_fsync(fd)
-
-        monkeypatch.setattr("os.fsync", spy)
-        DiskStore(str(tmp_path), codecs={}).put(
-            stages.DETECT, "d", {"k": 1})
-        # once for the temp file before the rename, once for the
-        # stage directory after it
-        assert len(synced) == 2
-        assert (tmp_path / stages.DETECT / "d.json").exists()
-
-    def test_non_durable_put_skips_fsync(self, tmp_path,
-                                         monkeypatch):
-        synced = []
-        monkeypatch.setattr("os.fsync", synced.append)
-        store = DiskStore(str(tmp_path), codecs={}, durable=False)
-        store.put(stages.DETECT, "d", {"k": 1})
-        assert synced == []
-        assert store.get(stages.DETECT, "d") == {"k": 1}
+        first.put(stages.DESCRIPTION_PERMISSIONS, "d", perms)
+        assert second.get(stages.DESCRIPTION_PERMISSIONS, "d") == perms
 
 
 class TestTieredStore:
     def test_disk_hit_backfills_memory(self, tmp_path):
-        disk = DiskStore(str(tmp_path))
+        disk = SharedDiskStore(str(tmp_path))
         disk.put(stages.DESCRIPTION_PERMISSIONS, "d", {"p"})
         memory = MemoryStore()
         tiered = TieredStore(memory, disk)
@@ -152,8 +155,10 @@ class TestTieredStore:
 
     def test_build_store_variants(self, tmp_path):
         assert isinstance(build_store(), MemoryStore)
-        assert isinstance(build_store(cache_dir=str(tmp_path)),
-                          TieredStore)
+        tiered = build_store(cache_dir=str(tmp_path), max_entries=3)
+        assert isinstance(tiered, TieredStore)
+        assert isinstance(tiered.disk, SharedDiskStore)
+        assert tiered.memory.max_entries == 3
 
 
 class TestPipelineStats:

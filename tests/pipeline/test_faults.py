@@ -9,13 +9,14 @@ and no batch-wide aborts.
 """
 
 import json
+import sqlite3
 
 import pytest
 
 from repro.core.checker import AppBundle, PPChecker
 from repro.core.report import AppFailure, AppReport, partition_outcomes
 from repro.pipeline import stages
-from repro.pipeline.artifacts import MISS, DiskStore, build_store
+from repro.pipeline.artifacts import MISS, SharedDiskStore, build_store
 from repro.pipeline.executor import BatchExecutor, BatchItemError
 from repro.pipeline.faults import (
     CRASH_EXIT_CODE,
@@ -368,28 +369,43 @@ class TestBatchExecutorFailures:
 # -- disk store robustness ------------------------------------------------
 
 
+def rewrite_docs(db_path: str, sql_value: str, *params) -> int:
+    """``UPDATE artifacts SET doc = <sql_value>`` on every row; returns
+    the number of rows damaged."""
+    conn = sqlite3.connect(db_path)
+    try:
+        count = conn.execute(f"UPDATE artifacts SET doc = {sql_value}",
+                             params).rowcount
+        conn.commit()
+    finally:
+        conn.close()
+    return count
+
+
 class TestDiskStoreRobustness:
     def test_truncated_document_is_a_miss(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        report = AppReport(package="com.x")
-        store.put(stages.DETECT, "d1", report)
-        path = tmp_path / stages.DETECT / "d1.json"
-        path.write_text(path.read_text()[: 10])    # torn write
+        store = SharedDiskStore(str(tmp_path))
+        store.put(stages.DETECT, "d1", AppReport(package="com.x"))
+        # a torn document: the first ten characters of the real one
+        assert rewrite_docs(store.path, "substr(doc, 1, 10)") == 1
         assert store.get(stages.DETECT, "d1") is MISS
 
     def test_wrong_schema_document_is_a_miss(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        bad = tmp_path / stages.DETECT
-        bad.mkdir()
-        (bad / "d2.json").write_text('{"valid": "json", "wrong": 1}')
+        store = SharedDiskStore(str(tmp_path))
+        store.put(stages.DETECT, "d2", AppReport(package="com.x"))
+        assert rewrite_docs(store.path, "?",
+                            '{"valid": "json", "wrong": 1}') == 1
         assert store.get(stages.DETECT, "d2") is MISS
 
     def test_binary_garbage_is_a_miss(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        bad = tmp_path / stages.POLICY_ANALYSIS
-        bad.mkdir()
-        (bad / "d3.json").write_bytes(b"\x00\xff\xfe garbage")
-        assert store.get(stages.POLICY_ANALYSIS, "d3") is MISS
+        store = SharedDiskStore(str(tmp_path))
+        store.put(stages.DETECT, "d3", AppReport(package="com.x"))
+        # raw bytes as a blob, then the same bytes as (undecodable) text
+        assert rewrite_docs(store.path, "?", b"\x00\xff\xfe garbage") == 1
+        assert store.get(stages.DETECT, "d3") is MISS
+        assert rewrite_docs(store.path, "CAST(? AS TEXT)",
+                            b"\x00\xff\xfe garbage") == 1
+        assert store.get(stages.DETECT, "d3") is MISS
 
     def test_pipeline_recomputes_over_corrupt_cache(self, tmp_path):
         cache = str(tmp_path / "cache")
@@ -398,8 +414,9 @@ class TestDiskStoreRobustness:
         baseline = warm.check(bundle)
 
         # corrupt every cached document on disk
-        for doc in (tmp_path / "cache").rglob("*.json"):
-            doc.write_text("{torn")
+        damaged = rewrite_docs(str(tmp_path / "cache" / "artifacts.sqlite"),
+                               "'{torn'")
+        assert damaged >= len(stages.STAGES) - 1   # no lib stage here
 
         cold = make_checker(artifact_store=build_store(cache_dir=cache))
         again = cold.check(make_bundle())
@@ -407,6 +424,7 @@ class TestDiskStoreRobustness:
         # everything was recomputed, nothing crashed
         assert cold.stats.stage(stages.DETECT).executions == 1
         assert cold.stats.stage(stages.DETECT).cache_hits == 0
+        assert cold.stats.stage(stages.POLICY_ANALYSIS).cache_hits == 0
 
 
 # -- malformed inputs at the stage boundaries -----------------------------

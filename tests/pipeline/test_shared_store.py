@@ -1,13 +1,12 @@
-"""The cross-process shared artifact backend (sqlite).
+"""The sqlite artifact store shared by concurrent processes.
 
-Three layers of proof, mirroring ``tests/pipeline/test_artifacts.py``:
+Two layers of proof (the disk-tier basics, as ``build_store`` wires
+them, live in ``tests/pipeline/test_artifacts.py``):
 
 1. the store honours the :class:`~repro.pipeline.artifacts.ArtifactStore`
-   contract with the same corrupt-cache tolerances as ``DiskStore``
-   (missing / corrupt / wrong-schema rows are misses, never crashes);
-2. single-writer leases exclude concurrent writers -- in-process and
-   across real processes -- and expired leases are stolen, never wedged;
-3. a multi-process stress run: N writer processes hammering
+   contract with the corrupt-cache tolerances of a cache (missing /
+   corrupt / wrong-schema rows are misses, never crashes);
+2. a multi-process stress run: N writer processes hammering
    overlapping keys while a reader races them never observes a torn
    document (every value seen carries a valid self-checksum).
 """
@@ -16,9 +15,6 @@ import hashlib
 import json
 import multiprocessing
 import sqlite3
-import time
-
-import pytest
 
 from repro.pipeline import stages
 from repro.pipeline.artifacts import (
@@ -26,7 +22,6 @@ from repro.pipeline.artifacts import (
     MemoryStore,
     SharedDiskStore,
     TieredStore,
-    build_store,
 )
 
 # -- checksummed payloads (torn writes are self-evident) -----------------
@@ -58,15 +53,6 @@ def _writer_proc(cache_dir: str, tag: int, rounds: int) -> None:
     for seq in range(rounds):
         for key in STRESS_KEYS:
             store.put("stress", key, sealed(tag, seq))
-
-
-def _lease_holder_proc(cache_dir, held, release, done) -> None:
-    store = SharedDiskStore(cache_dir, codecs={})
-    assert store.acquire_lease("s", "contended")
-    held.set()
-    release.wait(timeout=60)
-    store.release_lease("s", "contended")
-    done.set()
 
 
 class TestSharedStoreContract:
@@ -133,6 +119,18 @@ class TestSharedStoreContract:
         store.put("s", "d2", {"k": 2})       # must not raise
         assert store.get("s", "d2") is MISS
 
+    def test_garbage_database_file_at_open_degrades_to_miss(
+            self, tmp_path):
+        # the cache file was clobbered before this run started: the
+        # run checks everything afresh instead of crashing at startup
+        with open(tmp_path / "artifacts.sqlite", "wb") as handle:
+            handle.write(b"\x13garbage, not a database" * 64)
+        store = SharedDiskStore(str(tmp_path), codecs={})
+        assert store.get("s", "d") is MISS
+        store.put("s", "d", {"k": 1})       # must not raise
+        assert store.get("s", "d") is MISS
+        assert len(store) == 0
+
     def test_replace_overwrites_previous_version(self, tmp_path):
         store = SharedDiskStore(str(tmp_path), codecs={})
         store.put("s", "d", sealed(1, 0))
@@ -154,89 +152,6 @@ class TestSharedStoreContract:
         tiered = TieredStore(memory, disk)
         assert tiered.get(stages.DESCRIPTION_PERMISSIONS, "d") == {"p"}
         assert memory.get(stages.DESCRIPTION_PERMISSIONS, "d") == {"p"}
-
-    def test_build_store_backend_selection(self, tmp_path):
-        tiered = build_store(cache_dir=str(tmp_path),
-                             backend="sqlite")
-        assert isinstance(tiered, TieredStore)
-        assert isinstance(tiered.disk, SharedDiskStore)
-        with pytest.raises(ValueError, match="backend"):
-            build_store(cache_dir=str(tmp_path), backend="papyrus")
-
-
-class TestLeases:
-    def test_acquire_is_reentrant_for_the_owner(self, tmp_path):
-        store = SharedDiskStore(str(tmp_path), codecs={})
-        assert store.acquire_lease("s", "d")
-        assert store.acquire_lease("s", "d")
-        assert store.lease_holder("s", "d") == store.owner
-
-    def test_foreign_live_lease_blocks_acquire(self, tmp_path):
-        a = SharedDiskStore(str(tmp_path), codecs={})
-        b = SharedDiskStore(str(tmp_path), codecs={})
-        assert a.acquire_lease("s", "d")
-        assert not b.acquire_lease("s", "d")
-        a.release_lease("s", "d")
-        assert b.acquire_lease("s", "d")
-
-    def test_put_skips_under_foreign_live_lease(self, tmp_path):
-        a = SharedDiskStore(str(tmp_path), codecs={})
-        b = SharedDiskStore(str(tmp_path), codecs={})
-        assert a.acquire_lease("s", "d")
-        b.put("s", "d", {"from": "b"})       # quietly dropped
-        assert b.get("s", "d") is MISS
-        a.put("s", "d", {"from": "a"})       # the leaseholder lands
-        assert b.get("s", "d") == {"from": "a"}
-
-    def test_put_clears_the_writers_own_lease(self, tmp_path):
-        a = SharedDiskStore(str(tmp_path), codecs={})
-        b = SharedDiskStore(str(tmp_path), codecs={})
-        assert a.acquire_lease("s", "d")
-        a.put("s", "d", {"v": 1})
-        assert a.lease_holder("s", "d") is None
-        assert b.acquire_lease("s", "d")
-
-    def test_expired_lease_is_stolen_not_wedged(self, tmp_path):
-        # a SIGKILL'd worker leaves its lease behind; after the TTL
-        # any other worker takes over the key
-        a = SharedDiskStore(str(tmp_path), codecs={},
-                            lease_ttl=0.05)
-        b = SharedDiskStore(str(tmp_path), codecs={})
-        assert a.acquire_lease("s", "d")
-        assert not b.acquire_lease("s", "d")
-        time.sleep(0.08)
-        assert a.lease_holder("s", "d") is None
-        assert b.acquire_lease("s", "d")
-        b.put("s", "d", {"v": 2})
-        assert b.get("s", "d") == {"v": 2}
-
-    def test_release_is_scoped_to_the_owner(self, tmp_path):
-        a = SharedDiskStore(str(tmp_path), codecs={})
-        b = SharedDiskStore(str(tmp_path), codecs={})
-        assert a.acquire_lease("s", "d")
-        b.release_lease("s", "d")            # not b's to release
-        assert a.lease_holder("s", "d") == a.owner
-
-    def test_lease_excludes_writer_in_another_process(self, tmp_path):
-        ctx = multiprocessing.get_context("spawn")
-        held, release, done = ctx.Event(), ctx.Event(), ctx.Event()
-        proc = ctx.Process(
-            target=_lease_holder_proc,
-            args=(str(tmp_path), held, release, done))
-        proc.start()
-        try:
-            assert held.wait(timeout=60), "child never took the lease"
-            local = SharedDiskStore(str(tmp_path), codecs={})
-            assert not local.acquire_lease("s", "contended")
-            local.put("s", "contended", {"v": "squatter"})
-            assert local.get("s", "contended") is MISS
-            release.set()
-            assert done.wait(timeout=60), "child never released"
-            assert local.acquire_lease("s", "contended")
-        finally:
-            release.set()
-            proc.join(timeout=60)
-            assert proc.exitcode == 0
 
 
 class TestMultiProcessStress:

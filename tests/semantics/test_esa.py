@@ -81,15 +81,14 @@ class TestModel:
 
     def test_cache_info_reports_every_model_cache(self):
         """``cache_info`` keys are the model's ``esa_*`` rows of
-        ``cache_stats()`` (the artifact-ladder row belongs to the
-        compiled-KB loader, not to a model)."""
+        ``cache_stats()``."""
         model = EsaModel({"fruit": "apple banana pear",
                           "tool": "hammer wrench saw"})
         model.match_sets(["apple", "saw"], ["banana", "hammer"])
         model.group_hits([["apple"]], ["banana", "pear"])
         info = model.cache_info()
         registered = {name for name in cache_stats()
-                      if name.startswith("esa_")} - {"esa_kb_artifact"}
+                      if name.startswith("esa_")}
         assert {f"esa_{name}" for name in info} == registered
         assert info["interpret"]["misses"] == 5
         assert info["group_index"]["misses"] == 2

@@ -17,8 +17,12 @@ import pytest
 
 from repro.pipeline.faults import SLOW, FaultPlan, FaultSpec
 from repro.pipeline.resilience import Deadline
-from repro.service import ServiceClient, ServiceConfig, start_service
-from repro.service.server import DEADLINE_HEADER
+from repro.service import (
+    DEADLINE_HEADER,
+    ServiceClient,
+    ServiceConfig,
+    start_service,
+)
 
 from tests.service.test_service import make_doc
 
