@@ -6,6 +6,9 @@ Paper:
   Sents_disclose:             TP 39, FP 4, precision 90.7%,
       recall 92.3%, F1 91.4%
   75 questionable apps in total after manual verification.
+
+The paper's point estimates also sit inside 95% bootstrap confidence
+intervals around the reproduced rows.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import pytest
 
 from repro.core.inconsistent import detect_inconsistent
 from repro.core.matching import InfoMatcher
+from repro.core.metrics import bootstrap_interval, wilson_interval
 
 PAPER = {
     "collect_use_retain": dict(tp=41, fp=5, precision=0.891,
@@ -67,3 +71,31 @@ def test_table4(benchmark, store, checker, study):
     assert disclose.precision == pytest.approx(0.907, abs=0.001)
     assert disclose.recall == pytest.approx(0.923, abs=0.02)
     assert len(study.inconsistent_true_apps()) == 75
+
+
+def test_confidence_intervals(benchmark, study):
+    """Bootstrap CIs around Table IV; paper values must fall inside."""
+    rows = study.table4()
+    sample_outcomes = [(True, True)] * 41 + [(True, False)] * 5
+    benchmark(lambda: bootstrap_interval(sample_outcomes,
+                                         metric="precision"))
+
+    print("\nTable IV with 95% bootstrap confidence intervals")
+    for name, row in rows.items():
+        outcomes = (
+            [(True, True)] * row.tp + [(True, False)] * row.fp
+            + [(False, True)] * row.fn
+        )
+        for metric in ("precision", "recall"):
+            interval = bootstrap_interval(outcomes, metric=metric)
+            inside = interval.contains(PAPER[name][metric])
+            print(f"  {name:<20} {metric:<10} {interval}   "
+                  f"paper {PAPER[name][metric]:.3f} "
+                  f"{'inside' if inside else 'OUTSIDE'}")
+            assert inside, (name, metric)
+
+    fraction = wilson_interval(
+        study.summary()["problem_apps"], study.summary()["apps"]
+    )
+    print(f"  problem fraction {fraction} (paper 0.236)")
+    assert fraction.contains(0.236)

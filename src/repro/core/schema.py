@@ -22,25 +22,4 @@ def versioned(payload: dict[str, Any]) -> dict[str, Any]:
     return payload
 
 
-def validate_versioned(payload: Any, source: str = "payload") -> None:
-    """Raise ``ValueError`` unless *payload* is a dict stamped with
-    the current schema version.
-
-    The one validator every versioned surface shares: the CLI/service
-    JSON payloads and the ``BENCH_*.json`` benchmark emitters
-    (pipeline, service, nlp) are all checked against it in the unit
-    suite, so a benchmark file can never silently drift from the
-    payload contract.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError(f"{source}: expected a JSON object, "
-                         f"got {type(payload).__name__}")
-    version = payload.get("schema_version")
-    if version is None:
-        raise ValueError(f"{source}: missing schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{source}: schema_version {version!r} != "
-                         f"expected {SCHEMA_VERSION}")
-
-
-__all__ = ["SCHEMA_VERSION", "versioned", "validate_versioned"]
+__all__ = ["SCHEMA_VERSION", "versioned"]

@@ -61,10 +61,6 @@ class Expectation:
     inconsistent: bool = False
     note: str = ""
 
-    @property
-    def any_problem(self) -> bool:
-        return self.incomplete or self.incorrect or self.inconsistent
-
 
 def _apk(package: str, permissions: set[str],
          instructions: list[Instruction],

@@ -236,9 +236,6 @@ class _Parser:
     def _group_span(self, group: VerbGroup) -> _Span | None:
         return _in_spans(group.head, self.spans)
 
-    def _chunks_between(self, start: int, end: int) -> list[NounPhrase]:
-        return [c for c in self.chunks if c.start >= start and c.end <= end]
-
     def _attach_verb_group(self, group: VerbGroup, gov: int) -> None:
         """aux/auxpass/neg arcs inside the group, headed at *gov*."""
         tokens = self.tokens

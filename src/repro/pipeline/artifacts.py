@@ -25,9 +25,11 @@ cache-hit counts; it is what ``StudyResult.stats`` and the CLI
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sqlite3
+import sys
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -37,6 +39,9 @@ from typing import Any, Callable, Protocol
 #: Sentinel distinguishing "never computed" from a stored ``None``
 #: artifact (libs without a policy cache as ``None``).
 MISS = object()
+
+#: the first 16 bytes of every sqlite 3 database file
+SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 class ArtifactStore(Protocol):
@@ -82,6 +87,17 @@ class MemoryStore:
             self._entries.clear()
 
 
+def _has_sqlite_header(path: str) -> bool:
+    """True unless *path* holds bytes that cannot start a database
+    (a missing or empty file is what a fresh database starts as)."""
+    try:
+        with open(path, "rb") as handle:
+            header = handle.read(len(SQLITE_HEADER))
+    except FileNotFoundError:
+        return True
+    return header in (b"", SQLITE_HEADER)
+
+
 class SharedDiskStore:
     """One ``<cache_dir>/artifacts.sqlite`` database, shared by every
     process and thread that points at the same cache directory.
@@ -103,7 +119,8 @@ class SharedDiskStore:
 
     A missing, corrupt, or wrong-schema row -- or a database file
     that cannot be read at all -- decodes to :data:`MISS` and is
-    recomputed.
+    recomputed.  A file that is not a database when the store opens
+    is moved aside and rebuilt empty, with one warning on stderr.
     """
 
     def __init__(
@@ -122,17 +139,54 @@ class SharedDiskStore:
         self.path = os.path.join(cache_dir, "artifacts.sqlite")
         self._local = threading.local()
         try:
-            with self._begin() as conn:
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS artifacts ("
-                    " stage TEXT NOT NULL, digest TEXT NOT NULL,"
-                    " doc TEXT NOT NULL,"
-                    " PRIMARY KEY (stage, digest))")
-        except sqlite3.Error:
-            # a file that is not a database (or one locked past the
-            # busy timeout) leaves every get a miss and every put
-            # dropped, as for damage found after opening
+            self._create_table()
+        except sqlite3.OperationalError:
+            # locked past the busy timeout: every get a miss and every
+            # put dropped, as for damage found after opening
             pass
+        except sqlite3.DatabaseError:
+            self._rebuild()
+
+    def _create_table(self) -> None:
+        with self._begin() as conn:
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS artifacts ("
+                " stage TEXT NOT NULL, digest TEXT NOT NULL,"
+                " doc TEXT NOT NULL,"
+                " PRIMARY KEY (stage, digest))")
+
+    def _rebuild(self) -> None:
+        """Move a file that is not a database aside to ``*.corrupt``
+        and start an empty one.
+
+        Runs under an exclusive ``flock`` on the cache directory, so
+        processes opening the same clobbered file at once rebuild it
+        once: a later one finds a valid header and just reconnects.
+        """
+        self.close()
+        try:
+            dir_fd = os.open(os.path.dirname(self.path), os.O_RDONLY)
+        except OSError:
+            return
+        try:
+            fcntl.flock(dir_fd, fcntl.LOCK_EX)
+            if not _has_sqlite_header(self.path):
+                for suffix in ("", "-wal", "-shm"):
+                    try:
+                        os.replace(self.path + suffix,
+                                   self.path + suffix + ".corrupt")
+                    except FileNotFoundError:
+                        pass
+                print(f"warning: {self.path} was not a sqlite "
+                      f"database; moved it to {self.path}.corrupt "
+                      f"and started an empty cache", file=sys.stderr)
+            self._create_table()
+        except (OSError, sqlite3.Error):
+            # a directory this process may not write, or a database
+            # still unusable: every get a miss and every put dropped
+            pass
+        finally:
+            os.close(dir_fd)
 
     # -- connection management --------------------------------------------
 

@@ -85,15 +85,6 @@ class CompiledKB:
     def __post_init__(self) -> None:
         self.term_index = {t: i for i, t in enumerate(self.terms)}
 
-    # -- views -------------------------------------------------------------
-
-    def term_slice(self, term: str) -> tuple[int, int] | None:
-        """The ``(start, end)`` row of *term*, or None if unknown."""
-        tid = self.term_index.get(term)
-        if tid is None:
-            return None
-        return self.offsets[tid], self.offsets[tid + 1]
-
 
 def compile_kb(articles: dict[str, str]) -> CompiledKB:
     """Compile the concept articles into packed arrays.

@@ -9,7 +9,6 @@ right statements and nothing from the noise.
 import pytest
 
 from repro.policy.analyzer import PolicyAnalyzer
-from repro.policy.sections import analyze_sections, split_sections
 from repro.policy.verbs import VerbCategory
 
 GOLF_POLICY = """
@@ -101,30 +100,6 @@ class TestExtraction:
     def test_no_contact_noise(self, analysis):
         for statement in analysis.statements:
             assert "questions" not in statement.resources
-
-
-class TestSectioning:
-    def test_topics_present(self):
-        sections = split_sections(GOLF_POLICY, html=True)
-        topics = {s.topic for s in sections}
-        assert {"collection", "use", "sharing", "retention",
-                "contact"} <= topics
-
-    def test_statements_land_in_right_sections(self):
-        sections = analyze_sections(GOLF_POLICY, html=True)
-        by_topic = {s.topic: s for s in sections}
-        collection_resources = {
-            res
-            for stmt in by_topic["collection"].statements
-            for res in stmt.resources
-        }
-        assert "location" in collection_resources
-        retention_resources = {
-            res
-            for stmt in by_topic["retention"].statements
-            for res in stmt.resources
-        }
-        assert "scorecards" in retention_resources
 
 
 class TestDetectorsOnRealisticPolicy:

@@ -11,9 +11,11 @@ them, live in ``tests/pipeline/test_artifacts.py``):
    document (every value seen carries a valid self-checksum).
 """
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
+import os
 import sqlite3
 
 from repro.pipeline import stages
@@ -53,6 +55,18 @@ def _writer_proc(cache_dir: str, tag: int, rounds: int) -> None:
     for seq in range(rounds):
         for key in STRESS_KEYS:
             store.put("stress", key, sealed(tag, seq))
+
+
+GARBAGE = b"\x13garbage, not a database" * 64
+
+
+def _garbage_opener_proc(cache_dir: str, out_dir: str, tag: int,
+                         barrier) -> None:
+    with open(os.path.join(out_dir, f"stderr-{tag}.txt"), "w") as err:
+        with contextlib.redirect_stderr(err):
+            barrier.wait(timeout=60)
+            store = SharedDiskStore(cache_dir, codecs={})
+    store.put("s", f"d{tag}", {"tag": tag})
 
 
 class TestSharedStoreContract:
@@ -120,16 +134,72 @@ class TestSharedStoreContract:
         assert store.get("s", "d2") is MISS
 
     def test_garbage_database_file_at_open_degrades_to_miss(
-            self, tmp_path):
+            self, tmp_path, capsys):
         # the cache file was clobbered before this run started: the
-        # run checks everything afresh instead of crashing at startup
-        with open(tmp_path / "artifacts.sqlite", "wb") as handle:
-            handle.write(b"\x13garbage, not a database" * 64)
+        # run checks everything afresh instead of crashing at startup,
+        # and the file is moved aside and rebuilt so later runs hit
+        (tmp_path / "artifacts.sqlite").write_bytes(GARBAGE)
         store = SharedDiskStore(str(tmp_path), codecs={})
         assert store.get("s", "d") is MISS
-        store.put("s", "d", {"k": 1})       # must not raise
+        store.put("s", "d", {"k": 1})
+        later = SharedDiskStore(str(tmp_path), codecs={})
+        assert later.get("s", "d") == {"k": 1}
+        assert (tmp_path / "artifacts.sqlite.corrupt").read_bytes() \
+            == GARBAGE
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1 and "not a sqlite database" \
+            in warnings[0]
+
+    def test_garbage_file_that_cannot_be_moved_stays_a_miss(
+            self, tmp_path, monkeypatch):
+        # a read-only cache directory: no rebuild, no crash
+        (tmp_path / "artifacts.sqlite").write_bytes(GARBAGE)
+
+        def refuse(*args):
+            raise PermissionError("read-only file system")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        store = SharedDiskStore(str(tmp_path), codecs={})
         assert store.get("s", "d") is MISS
-        assert len(store) == 0
+        store.put("s", "d", {"k": 1})
+        assert store.get("s", "d") is MISS
+        assert (tmp_path / "artifacts.sqlite").read_bytes() == GARBAGE
+
+    def test_garbage_database_opened_by_two_processes_at_once(
+            self, tmp_path):
+        """Both openers end on one valid database holding both their
+        writes; the garbage is moved aside once, with one warning."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "artifacts.sqlite").write_bytes(GARBAGE)
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(target=_garbage_opener_proc,
+                        args=(str(cache), str(tmp_path), tag, barrier))
+            for tag in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert all(p.exitcode == 0 for p in procs)
+        assert (cache / "artifacts.sqlite.corrupt").read_bytes() \
+            == GARBAGE
+        conn = sqlite3.connect(str(cache / "artifacts.sqlite"))
+        assert conn.execute("PRAGMA integrity_check").fetchone() \
+            == ("ok",)
+        conn.close()
+        store = SharedDiskStore(str(cache), codecs={})
+        assert [store.get("s", f"d{tag}") for tag in range(2)] \
+            == [{"tag": 0}, {"tag": 1}]
+        warnings = [
+            line
+            for tag in range(2)
+            for line in (tmp_path / f"stderr-{tag}.txt")
+            .read_text().splitlines()
+        ]
+        assert len(warnings) == 1, warnings
 
     def test_replace_overwrites_previous_version(self, tmp_path):
         store = SharedDiskStore(str(tmp_path), codecs={})

@@ -23,6 +23,7 @@ browned shard instead of hoping."""
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -69,19 +70,25 @@ def docs_routed_to(prefix: str, shard_index: int, count: int,
     return found
 
 
-@pytest.fixture(scope="module")
-def cluster(tmp_path_factory):
-    base = tmp_path_factory.mktemp("brownout")
-    plan_path = base / "brownout-plan.json"
+def write_brownout_plan(directory) -> str:
+    """A fault plan slowing every ``com.brown.*`` policy analysis by
+    ``SLOW_S``; returns its path."""
+    plan_path = directory / "brownout-plan.json"
     plan_path.write_text(json.dumps({"faults": [{
         "stage": "policy_analysis",
         "match": "com.brown",
         "kind": "slow",
         "delay_seconds": SLOW_S,
     }]}))
+    return str(plan_path)
+
+
+@pytest.fixture(scope="module")
+def cluster(tmp_path_factory):
+    plan_path = write_brownout_plan(tmp_path_factory.mktemp("brownout"))
     handle = start_cluster(ClusterConfig(
         port=0, shards=SHARDS, workers=1,
-        shard_fault_plans={BROWNED: str(plan_path)},
+        shard_fault_plans={BROWNED: plan_path},
         breaker_failures=2,
         breaker_latency=0.5,   # < SLOW_S: browned answers count
         breaker_cooloff=1.0,
@@ -126,6 +133,71 @@ def wait_for(predicate, timeout: float, message: str) -> None:
 
 def reference_report(doc: dict) -> dict:
     return PPChecker().check(bundle_from_dict(doc)).to_dict()
+
+
+def test_every_browned_check_is_rescued_by_a_hedge(tmp_path):
+    """Concurrent clients over all three shards: every check the
+    browned shard owns is answered by a winning hedge, sooner than
+    the browned primary can answer, and every report equals the
+    in-process reference.
+
+    A cluster of its own, so the hedge counters start at zero; its
+    breaker never opens (the failure threshold exceeds the sweep), so
+    no owner is diverted past the hedge path -- the breaker has its
+    own cases below."""
+    owned = docs_routed_to("com.brown.sweep", BROWNED, 4)
+    docs = [doc for trio in zip(
+        owned,
+        docs_routed_to("com.brown.sweep", 1, 4),
+        docs_routed_to("com.brown.sweep", 2, 4)) for doc in trio]
+    handle = start_cluster(ClusterConfig(
+        port=0, shards=SHARDS, workers=1,
+        shard_fault_plans={BROWNED: write_brownout_plan(tmp_path)},
+        breaker_failures=len(docs) + 1,
+        hedge=True,
+        hedge_delay=0.3,
+        drain_timeout=5.0,
+    ))
+    try:
+        client = ServiceClient(port=handle.port, timeout=120.0)
+        wait_cluster_up(client, SHARDS)
+        pending = list(enumerate(docs))
+        lock = threading.Lock()
+        answers: dict[int, tuple[int, dict, float]] = {}
+
+        def drive() -> None:
+            while True:
+                with lock:
+                    if not pending:
+                        return
+                    index, doc = pending.pop(0)
+                started = time.monotonic()
+                status, _, payload = client.request(
+                    "POST", "/v1/check", doc)
+                with lock:
+                    answers[index] = (status, payload,
+                                      time.monotonic() - started)
+
+        threads = [threading.Thread(target=drive) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        hedges_won = metric(client, "ppchecker_hedges_total",
+                            outcome="hedge_won")
+    finally:
+        handle.close()
+
+    assert sorted(answers) == list(range(len(docs)))
+    for index, doc in enumerate(docs):
+        status, payload, elapsed = answers[index]
+        assert status == 200
+        payload.pop("schema_version", None)
+        assert payload == reference_report(doc), doc["package"]
+        if doc in owned:
+            # the browned primary cannot answer before SLOW_S
+            assert elapsed < SLOW_S, (doc["package"], elapsed)
+    assert hedges_won >= len(owned)
 
 
 # ordered phases: each test builds on the cluster state the previous
