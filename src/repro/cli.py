@@ -61,19 +61,27 @@ Subcommands::
         Serialize one synthetic-corpus app to a bundle JSON (handy for
         inspecting or replaying single apps).
 
-    python -m repro.cli serve [--host H] [--port P] [--workers N]
-            [--queue-size N] [--cache-dir PATH] [--lib-policies DIR]
+    python -m repro.cli serve [--host H] [--port P] [--port-file PATH]
+            [--workers N] [--queue-size N] [--request-timeout SECONDS]
+            [--drain-timeout SECONDS] [--completed-jobs N]
+            [--state-dir DIR] [--max-redeliveries N]
+            [--lib-policies DIR] [--cache-dir PATH]
             [--max-retries N] [--stage-timeout SECONDS]
-            [--request-timeout SECONDS] [--drain-timeout SECONDS]
-            [--fault-plan PATH] [--state-dir DIR]
-            [--max-redeliveries N]
+            [--fault-plan PATH] [--deadline SECONDS]
+            [--retry-budget TOKENS] [--retry-budget-refill PER_SECOND]
+            [--shards N] [--hedge | --no-hedge] [--hedge-delay SECONDS]
+            [--breaker-failures N] [--breaker-latency SECONDS]
+            [--breaker-cooloff SECONDS]
         Run the long-running check service: a REST API over a shared,
         warm pipeline with a bounded job queue, request coalescing,
         and /healthz + /metrics endpoints (see docs/API.md).  With
         --state-dir, accepted jobs are journaled and replayed across
         restarts; jobs that crash the process more than
         --max-redeliveries times are dead-lettered
-        (GET /v1/deadletter).
+        (GET /v1/deadletter).  The flags before --shards are one
+        ServiceConfig (service_config / serve_flags below); --shards N
+        runs N shards of that service behind a routing front, which
+        alone reads --hedge* and --breaker-*.
 
 ``repro --version`` prints the package version.
 """
@@ -81,50 +89,21 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 
-def _lib_policy_source(directory: str | None):
-    if directory is None:
-        from repro.corpus.libpolicies import lib_policy_text
-
-        def from_corpus(lib_id: str) -> str | None:
-            try:
-                return lib_policy_text(lib_id)
-            except KeyError:
-                return None
-
-        return from_corpus
-
-    def from_directory(lib_id: str) -> str | None:
-        for extension in (".txt", ".html"):
-            path = os.path.join(directory, lib_id + extension)
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as handle:
-                    return handle.read()
-        return None
-
-    return from_directory
-
-
 def _checker_options(args: argparse.Namespace):
-    """The checker recipe (:class:`repro.core.study.ShardOptions`)
-    from the shared --cache-dir and resilience flags
-    (--max-retries / --stage-timeout / --fault-plan / --deadline /
-    --retry-budget); subcommands without a flag get its default."""
-    from repro.core.study import ShardOptions
+    """The checker recipe (:class:`repro.core.checker.CheckerOptions`)
+    from the --cache-dir and resilience flags every checking
+    subcommand shares; each recipe field is the dest of the flag of
+    the same name."""
+    from repro.core.checker import CheckerOptions
 
-    return ShardOptions(
-        cache_dir=getattr(args, "cache_dir", None),
-        max_retries=getattr(args, "max_retries", 0),
-        stage_timeout=getattr(args, "stage_timeout", None),
-        fault_plan=getattr(args, "fault_plan", None),
-        deadline=getattr(args, "deadline", None),
-        retry_budget=getattr(args, "retry_budget", None),
-        retry_budget_refill=getattr(args, "retry_budget_refill", 1.0),
-    )
+    return CheckerOptions(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(CheckerOptions)})
 
 
 def _print_stage_stats(stats) -> None:
@@ -190,10 +169,11 @@ def _print_quarantine(failures) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     from repro.android.serialization import load_bundle
+    from repro.core.checker import lib_policy_source
 
     bundle = load_bundle(args.bundle)
     checker = _checker_options(args).build_checker(
-        _lib_policy_source(args.lib_policies))
+        lib_policy_source(args.lib_policies))
     report = checker.check(bundle)
     if args.json:
         from repro.core.schema import versioned
@@ -208,11 +188,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_batch_check(args: argparse.Namespace) -> int:
     from repro.android.serialization import bundle_to_dict, load_bundle
+    from repro.core.checker import lib_policy_source
     from repro.core.report import AppFailure, partition_outcomes
     from repro.hashing import fingerprint
 
     checker = _checker_options(args).build_checker(
-        _lib_policy_source(args.lib_policies))
+        lib_policy_source(args.lib_policies))
     bundles = [load_bundle(path) for path in args.bundles]
     # outcomes are keyed by bundle content digest, so a resumed run
     # matches journal records to bundles regardless of path order
@@ -474,64 +455,22 @@ def cmd_genpolicy(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.pipeline.faults import FaultPlan
-    from repro.service.runner import ServiceConfig
-    from repro.service.server import serve
-
+    config = service_config(args)
     if args.shards > 0:
         from repro.service.cluster import ClusterConfig, serve_cluster
 
         return serve_cluster(ClusterConfig(
-            host=args.host,
-            port=args.port,
-            port_file=args.port_file,
+            service=config,
             shards=args.shards,
-            workers=args.workers,
-            queue_size=args.queue_size,
-            cache_dir=args.cache_dir,
-            state_dir=args.state_dir,
-            lib_policies=args.lib_policies,
-            fault_plan=args.fault_plan,
-            max_retries=args.max_retries,
-            stage_timeout=args.stage_timeout,
-            request_timeout=args.request_timeout,
-            drain_timeout=args.drain_timeout,
-            max_redeliveries=args.max_redeliveries,
-            completed_jobs=args.completed_jobs,
-            cache_entries=args.cache_entries,
-            retry_budget=args.retry_budget,
-            retry_budget_refill=args.retry_budget_refill,
-            default_deadline=args.deadline,
             hedge=args.hedge,
             hedge_delay=args.hedge_delay,
             breaker_failures=args.breaker_failures,
             breaker_latency=args.breaker_latency,
             breaker_cooloff=args.breaker_cooloff,
         ))
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = FaultPlan.from_json_file(args.fault_plan)
-    return serve(ServiceConfig(
-        host=args.host,
-        port=args.port,
-        port_file=args.port_file,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        cache_dir=args.cache_dir,
-        completed_jobs=args.completed_jobs,
-        cache_entries=args.cache_entries,
-        max_retries=args.max_retries,
-        stage_timeout=args.stage_timeout,
-        fault_plan=fault_plan,
-        lib_policy_source=_lib_policy_source(args.lib_policies),
-        request_timeout=args.request_timeout,
-        drain_timeout=args.drain_timeout,
-        state_dir=args.state_dir,
-        max_redeliveries=args.max_redeliveries,
-        retry_budget=args.retry_budget,
-        retry_budget_refill=args.retry_budget_refill,
-        default_deadline=args.deadline,
-    ))
+    from repro.service.server import serve
+
+    return serve(config)
 
 
 def cmd_export_corpus(args: argparse.Namespace) -> int:
@@ -550,6 +489,39 @@ def cmd_export_corpus(args: argparse.Namespace) -> int:
     save_bundle(app.bundle, args.path)
     print(f"wrote {app.package} to {args.path}")
     return 0
+
+
+# -- serve flags <-> ServiceConfig ------------------------------------------
+#
+# Every ServiceConfig field, and every field of its checker recipe, is
+# the dest of the ``serve`` flag of the same name (``lib_policies`` is
+# ``--lib-policies``, ``checker.deadline`` is ``--deadline``), so the
+# two functions below are each other's inverse; a round-trip test
+# pins the pair.
+
+
+def service_config(args: argparse.Namespace):
+    """The :class:`~repro.service.runner.ServiceConfig` that parsed
+    ``serve`` flags describe, for both ``serve`` modes."""
+    from repro.service.runner import ServiceConfig
+
+    return ServiceConfig(checker=_checker_options(args), **{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ServiceConfig)
+        if f.name != "checker"})
+
+
+def serve_flags(config) -> list[str]:
+    """The ``serve`` flags that describe *config* (the inverse of
+    :func:`service_config`); a cluster front spawns each shard as
+    ``serve`` with these."""
+    flags: list[str] = []
+    for section in (config, config.checker):
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            if f.name != "checker" and value is not None:
+                flags += ["--" + f.name.replace("_", "-"), str(value)]
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -766,10 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="completed jobs kept resolvable by id and "
                           "content hash, per process (default: 256)")
-    srv.add_argument("--cache-entries", type=int, default=8192,
-                     metavar="N",
-                     help="memory-tier artifact cache capacity per "
-                          "process, entries (default: 8192)")
     srv.add_argument("--hedge", default=True,
                      action=argparse.BooleanOptionalAction,
                      help="with --shards: race a slow /v1/check "

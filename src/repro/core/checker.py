@@ -16,6 +16,7 @@ so existing call sites and subclasses (e.g.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,12 +29,15 @@ from repro.pipeline.artifacts import (
     ArtifactStore,
     MemoryStore,
     PipelineStats,
+    build_store,
 )
 from repro.pipeline.faults import FaultPlan
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.resilience import (
     Deadline,
+    RetryBudget,
     RetryPolicy,
+    current_deadline,
     deadline_scope,
 )
 from repro.policy.analyzer import PolicyAnalyzer
@@ -137,7 +141,8 @@ class PPChecker:
         scope), the whole check runs under a fresh per-app
         deadline."""
         deadline = (Deadline.after(self.deadline_seconds)
-                    if self.deadline_seconds is not None else None)
+                    if self.deadline_seconds is not None
+                    and current_deadline() is None else None)
         with deadline_scope(deadline):
             policy = self.analyze_policy(bundle)
             static_result = self.analyze_code(bundle)
@@ -165,4 +170,73 @@ class PPChecker:
                                          on_outcome=on_outcome)
 
 
-__all__ = ["AppBundle", "PPChecker"]
+def lib_policy_source(
+        directory: str | None) -> Callable[[str], str | None]:
+    """Lib id -> policy text: ``<directory>/<lib_id>.txt`` (or
+    ``.html``), or the synthetic corpus's lib policies when
+    *directory* is None."""
+    if directory is None:
+        from repro.corpus.libpolicies import corpus_lib_policy
+
+        return corpus_lib_policy
+
+    def from_directory(lib_id: str) -> str | None:
+        for extension in (".txt", ".html"):
+            path = os.path.join(directory, lib_id + extension)
+            if os.path.exists(path):
+                with open(path, encoding="utf-8") as handle:
+                    return handle.read()
+        return None
+
+    return from_directory
+
+
+@dataclass(frozen=True)
+class CheckerOptions:
+    """The one checker recipe, as picklable primitives.
+
+    The CLI subcommands, each study plane (this process and every
+    shard process on its side of the spawn boundary) and the service
+    build their checker with :meth:`build_checker`; no checker object
+    is ever shipped across.  The same recipe gives the same pipeline,
+    which is what keeps the sharded study byte-identical to the
+    single-process one and a shard's reports equal to ``serve``'s.
+    """
+
+    #: directory of the sqlite artifact store shared by every process
+    #: pointed at it (:class:`repro.pipeline.artifacts.SharedDiskStore`;
+    #: ``None`` disables the disk tier)
+    cache_dir: str | None = None
+    max_retries: int = 0
+    stage_timeout: float | None = None
+    #: path to a JSON fault plan (see :mod:`repro.pipeline.faults`)
+    fault_plan: str | None = None
+    #: per-check wall-clock budget in seconds, opened only when no
+    #: deadline is already in scope (``None`` = unbounded)
+    deadline: float | None = None
+    #: capacity of the retry token bucket shared by every stage retry
+    #: of the checker (``None`` = unlimited)
+    retry_budget: float | None = None
+    #: tokens the retry bucket regains per second
+    retry_budget_refill: float = 1.0
+
+    def build_checker(
+            self, lib_policy_source: Callable[[str], str | None],
+    ) -> PPChecker:
+        budget = (RetryBudget(self.retry_budget,
+                              self.retry_budget_refill)
+                  if self.retry_budget is not None else None)
+        return PPChecker(
+            lib_policy_source=lib_policy_source,
+            artifact_store=build_store(cache_dir=self.cache_dir),
+            retry_policy=RetryPolicy(max_retries=self.max_retries,
+                                     stage_timeout=self.stage_timeout,
+                                     budget=budget),
+            deadline_seconds=self.deadline,
+            fault_plan=(FaultPlan.from_json_file(self.fault_plan)
+                        if self.fault_plan is not None else None),
+        )
+
+
+__all__ = ["AppBundle", "CheckerOptions", "PPChecker",
+           "lib_policy_source"]

@@ -29,14 +29,12 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Protocol
 
-from repro.core.checker import PPChecker
+from repro.core.checker import CheckerOptions, PPChecker
 from repro.core.report import AppFailure, AppReport
 from repro.corpus.appstore import AppStore, CorpusSpec
 from repro.corpus.plans import AppPlan
-from repro.pipeline.artifacts import PipelineStats, build_store
+from repro.pipeline.artifacts import PipelineStats
 from repro.pipeline.executor import BatchItemError
-from repro.pipeline.faults import FaultPlan
-from repro.pipeline.resilience import RetryBudget, RetryPolicy
 from repro.policy.verbs import VerbCategory
 from repro.semantics.resources import InfoType
 
@@ -477,55 +475,6 @@ class ReportSink:
 
 
 # ---------------------------------------------------------------------------
-# the checker recipe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardOptions:
-    """The one checker recipe, as picklable primitives.
-
-    Every study plane -- this process and each shard process on its
-    side of the spawn boundary -- builds its :class:`PPChecker` with
-    :meth:`build_checker`, and so does the CLI; no checker object is
-    ever shipped across.  The same recipe gives the same pipeline,
-    which is what keeps the sharded study byte-identical to the
-    single-process one.
-    """
-
-    #: directory of the sqlite artifact store shared by every shard
-    #: (:class:`repro.pipeline.artifacts.SharedDiskStore`; ``None``
-    #: disables the disk tier)
-    cache_dir: str | None = None
-    max_retries: int = 0
-    stage_timeout: float | None = None
-    #: path to a JSON fault plan (see :mod:`repro.pipeline.faults`)
-    fault_plan: str | None = None
-    #: per-check wall-clock budget in seconds (``None`` = unbounded)
-    deadline: float | None = None
-    #: capacity of the retry token bucket (``None`` = unlimited)
-    retry_budget: float | None = None
-    retry_budget_refill: float = 1.0
-
-    def build_checker(
-            self, lib_policy_source: Callable[[str], str | None],
-    ) -> PPChecker:
-        budget = (RetryBudget(self.retry_budget,
-                              self.retry_budget_refill)
-                  if self.retry_budget is not None else None)
-        return PPChecker(
-            lib_policy_source=lib_policy_source,
-            artifact_store=build_store(cache_dir=self.cache_dir),
-            retry_policy=RetryPolicy(max_retries=self.max_retries,
-                                     stage_timeout=self.stage_timeout,
-                                     budget=budget),
-            deadline_seconds=self.deadline,
-            fault_plan=(FaultPlan.from_json_file(self.fault_plan)
-                        if self.fault_plan is not None else None),
-        )
-
-
-# ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
@@ -601,7 +550,7 @@ def run_study_streaming(
                          None] | None = None,
     sinks: Iterable[ResultSink] = (),
     shards: int = 0,
-    shard_options: ShardOptions | None = None,
+    shard_options: CheckerOptions | None = None,
 ) -> StudyAggregate:
     """The study as a bounded-memory stream over a lazy corpus.
 
@@ -635,7 +584,7 @@ def run_study_streaming(
     total = len(spec) if limit is None else min(limit, len(spec))
     skip = skip or {}
     sinks = tuple(sinks)
-    options = shard_options or ShardOptions()
+    options = shard_options or CheckerOptions()
     if shards > 0:
         if checker is not None:
             raise ValueError("shard processes build their checkers "
@@ -679,7 +628,7 @@ def run_study(
     on_outcome: Callable[[str, AppReport | AppFailure],
                          None] | None = None,
     shards: int = 0,
-    shard_options: ShardOptions | None = None,
+    shard_options: CheckerOptions | None = None,
 ) -> StudyResult:
     """Run PPChecker over every app of the corpus, keeping each report.
 
@@ -738,7 +687,7 @@ def merge_study_results(out_dir: str) -> StudyAggregate:
 
 def _shard_worker_main(shard: int, shards: int, seed: int, n_apps: int,
                        total: int, skip: frozenset,
-                       options: ShardOptions, out_queue) -> None:
+                       options: CheckerOptions, out_queue) -> None:
     """Worker process: check every corpus index whose package the hash
     ring assigns to shard *shard*, in ascending index order, streaming
     ``("outcome", index, outcome)`` records back -- a failing check
@@ -780,7 +729,7 @@ class ShardPool:
 
     def __init__(self, spec: CorpusSpec, shards: int, total: int,
                  skip: Iterable[str] = (),
-                 options: ShardOptions | None = None):
+                 options: CheckerOptions | None = None):
         import multiprocessing
 
         from repro.service.hashring import ring_for, shard_name
@@ -792,7 +741,7 @@ class ShardPool:
         self.ring = ring_for(self.shards)
         self._owner_index = {shard_name(i): i
                              for i in range(self.shards)}
-        options = options or ShardOptions()
+        options = options or CheckerOptions()
         ctx = multiprocessing.get_context("spawn")
         self.queues = [ctx.Queue(maxsize=SHARD_QUEUE_BOUND)
                        for _ in range(self.shards)]
@@ -877,6 +826,6 @@ class ShardPool:
 
 
 __all__ = ["RowMetrics", "StudyResult", "StudyAggregate",
-           "ResultSink", "ReportSink", "ShardOptions", "ShardPool",
+           "ResultSink", "ReportSink", "ShardPool",
            "PAPER_RESULTS", "run_study", "run_study_streaming",
            "merge_study_results"]

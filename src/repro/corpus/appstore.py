@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.core.checker import AppBundle
 from repro.corpus.codegen import build_apk
 from repro.corpus.descgen import render_description
-from repro.corpus.libpolicies import lib_policy_text
+from repro.corpus.libpolicies import corpus_lib_policy
 from repro.corpus.plans import (
     BACKGROUND,
     DEFAULT_SEED,
@@ -64,12 +64,8 @@ class AppStore:
     def __len__(self) -> int:
         return len(self.apps)
 
-    def lib_policy(self, lib_id: str) -> str | None:
-        """Lib-policy source for :class:`repro.core.checker.PPChecker`."""
-        try:
-            return lib_policy_text(lib_id)
-        except KeyError:
-            return None
+    #: lib-policy source for :class:`repro.core.checker.PPChecker`
+    lib_policy = staticmethod(corpus_lib_policy)
 
     def app(self, package: str) -> SyntheticApp | None:
         for app in self.apps:
@@ -217,12 +213,8 @@ class CorpusSpec:
 
     # -- interop ----------------------------------------------------------
 
-    def lib_policy(self, lib_id: str) -> str | None:
-        """Lib-policy source for :class:`repro.core.checker.PPChecker`."""
-        try:
-            return lib_policy_text(lib_id)
-        except KeyError:
-            return None
+    #: lib-policy source for :class:`repro.core.checker.PPChecker`
+    lib_policy = staticmethod(corpus_lib_policy)
 
     def materialize(self) -> AppStore:
         """Build every app eagerly (the historical representation)."""

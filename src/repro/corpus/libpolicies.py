@@ -116,4 +116,14 @@ def lib_policy_text(lib_id: str) -> str:
     return render_lib_policy(lib_id, behaviors)
 
 
-__all__ = ["lib_behaviors", "lib_policy_text"]
+def corpus_lib_policy(lib_id: str) -> str | None:
+    """Lib-policy source for :class:`repro.core.checker.PPChecker`:
+    the lib's policy document, or None for a lib the corpus does not
+    know."""
+    try:
+        return lib_policy_text(lib_id)
+    except KeyError:
+        return None
+
+
+__all__ = ["corpus_lib_policy", "lib_behaviors", "lib_policy_text"]

@@ -38,19 +38,24 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from http.client import HTTPException
 from typing import Any
 
 from repro import __version__
+from repro.cli import serve_flags
 from repro.core.schema import versioned
 from repro.hashing import fingerprint
 from repro.pipeline.resilience import Deadline, RetryBudget
 from repro.service.breaker import CLOSED, CircuitBreaker, LatencyTracker
 from repro.service.hashring import HashRing, shard_name
 from repro.service.metrics import CallbackGaugeFamily, MetricsRegistry
-from repro.service.runner import shed_error
-from repro.service.server import _write_port_file, read_port_file
+from repro.service.runner import ServiceConfig, shed_error
+from repro.service.server import (
+    Listener,
+    read_port_file,
+    serve_until_signalled,
+)
 from repro.service.transport import (
     DEADLINE_FIELD,
     DEADLINE_HEADER,
@@ -58,7 +63,7 @@ from repro.service.transport import (
     ConnectionPool,
     InvalidDeadline,
     JSONHandler,
-    KeepAliveHTTPServer,
+    batch_answer,
 )
 
 _SHARD_ID = re.compile(r"^s(\d+)-(.+)$")
@@ -66,55 +71,29 @@ _SHARD_ID = re.compile(r"^s(\d+)-(.+)$")
 
 @dataclass
 class ClusterConfig:
-    """Everything ``ppchecker serve --shards N`` needs.
+    """Everything ``ppchecker serve --shards N`` needs: the
+    :class:`~repro.service.runner.ServiceConfig` every shard runs,
+    plus the settings only the front uses.
 
-    Values that configure the shard processes (workers, queue size,
-    cache dir, fault plan, ...) are forwarded to each ``serve``
-    subprocess as CLI flags, so they are paths and scalars, never
-    live objects.
+    The front listens on ``service.host``/``service.port`` and takes
+    its timeouts, ``state_dir`` and retry budget from ``service``.
+    Shard *i* runs ``service`` with an ephemeral port, its journal in
+    ``<state_dir>/shard-<i>``, and its ``shard_fault_plans`` entry as
+    its fault plan, if it has one.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 8742
-    port_file: str | None = None
+    #: the service every shard runs (``workers``, ``queue_size`` and
+    #: ``completed_jobs`` are per shard); the checker recipe's
+    #: ``cache_dir`` is the artifact store all of them share
+    service: ServiceConfig = field(default_factory=ServiceConfig)
     shards: int = 3
-    #: worker threads *per shard*
-    workers: int = 2
-    queue_size: int = 64
-    #: shared artifact cache -- every shard points its sqlite
-    #: :class:`~repro.pipeline.artifacts.SharedDiskStore` here
-    cache_dir: str | None = None
-    #: per-shard job journals live in ``<state_dir>/shard-<i>``
-    state_dir: str | None = None
-    lib_policies: str | None = None
-    fault_plan: str | None = None
-    max_retries: int = 0
-    stage_timeout: float | None = None
-    request_timeout: float = 300.0
-    drain_timeout: float = 10.0
-    max_body_bytes: int = 32 * 1024 * 1024
-    max_redeliveries: int = 3
-    #: completed-job LRU capacity *per shard* (the cluster resolves
-    #: ``shards`` times this many in aggregate)
-    completed_jobs: int = 256
-    #: memory-tier artifact cache entries *per shard*
-    cache_entries: int = 8192
     #: how long the front waits for a respawning shard before failing
     #: a request over to the client
     reroute_timeout: float = 30.0
     #: per-shard fault plan paths (``{shard index: path}``); a listed
-    #: shard gets its own plan instead of ``fault_plan`` -- how the
-    #: brownout chaos harness browns out exactly one shard of N
+    #: shard gets its own plan instead of ``service.checker``'s -- how
+    #: the brownout chaos harness browns out exactly one shard of N
     shard_fault_plans: dict[int, str] = field(default_factory=dict)
-    #: retry token-bucket capacity, forwarded to every shard
-    #: (``--retry-budget``) and shared by the front's own reroute
-    #: retries and hedges; None = unlimited, the historical behaviour
-    retry_budget: float | None = None
-    #: tokens the retry bucket regains per second
-    retry_budget_refill: float = 1.0
-    #: default per-job deadline forwarded to every shard
-    #: (``--deadline``); None = unbounded
-    default_deadline: float | None = None
     #: hedge idempotent ``/v1/check`` submissions: race a second shard
     #: when the primary is slower than the p95-derived hedge delay
     hedge: bool = True
@@ -138,45 +117,23 @@ class ShardProcess:
                  run_dir: str) -> None:
         self.index = index
         self.name = shard_name(index)
-        self.config = config
         self.port_file = os.path.join(run_dir, f"{self.name}.port")
+        service = config.service
+        fault_plan = config.shard_fault_plans.get(
+            index, service.checker.fault_plan)
+        #: the service this shard runs
+        self.service = replace(
+            service, port=0, port_file=self.port_file,
+            state_dir=(os.path.join(service.state_dir, self.name)
+                       if service.state_dir is not None else None),
+            checker=replace(service.checker, fault_plan=fault_plan))
         self.port: int | None = None
         self.process: subprocess.Popen | None = None
         self.restarts = 0
 
     def command(self) -> list[str]:
-        config = self.config
-        cmd = [sys.executable, "-m", "repro.cli", "serve",
-               "--host", config.host,
-               "--port", "0", "--port-file", self.port_file,
-               "--workers", str(config.workers),
-               "--queue-size", str(config.queue_size),
-               "--request-timeout", str(config.request_timeout),
-               "--drain-timeout", str(config.drain_timeout),
-               "--max-redeliveries", str(config.max_redeliveries),
-               "--max-retries", str(config.max_retries),
-               "--completed-jobs", str(config.completed_jobs),
-               "--cache-entries", str(config.cache_entries)]
-        if config.cache_dir is not None:
-            cmd += ["--cache-dir", config.cache_dir]
-        if config.state_dir is not None:
-            cmd += ["--state-dir",
-                    os.path.join(config.state_dir, self.name)]
-        if config.lib_policies is not None:
-            cmd += ["--lib-policies", config.lib_policies]
-        fault_plan = config.shard_fault_plans.get(
-            self.index, config.fault_plan)
-        if fault_plan is not None:
-            cmd += ["--fault-plan", fault_plan]
-        if config.stage_timeout is not None:
-            cmd += ["--stage-timeout", str(config.stage_timeout)]
-        if config.retry_budget is not None:
-            cmd += ["--retry-budget", str(config.retry_budget),
-                    "--retry-budget-refill",
-                    str(config.retry_budget_refill)]
-        if config.default_deadline is not None:
-            cmd += ["--deadline", str(config.default_deadline)]
-        return cmd
+        return [sys.executable, "-m", "repro.cli", "serve",
+                *serve_flags(self.service)]
 
     def spawn(self, timeout: float = 60.0) -> None:
         """Start (or restart) the subprocess and wait for its port."""
@@ -207,14 +164,18 @@ class ShardProcess:
             assert self.process is not None
             self.process.send_signal(signal.SIGTERM)
 
-    def join(self, timeout: float) -> None:
+    def join(self, timeout: float) -> bool:
+        """Wait for the process to exit; True when it did so within
+        *timeout*, False when it had to be killed."""
         if self.process is None:
-            return
+            return True
         try:
             self.process.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait(timeout=10)
+            return False
+        return True
 
 
 class ShardSupervisor:
@@ -299,16 +260,18 @@ class ShardSupervisor:
     def alive(self) -> int:
         return sum(1 for shard in self.shards if shard.alive)
 
-    def stop(self) -> None:
+    def stop(self) -> bool:
         """Graceful: SIGTERM every shard (they drain their queues),
-        join, and stop the monitor so nothing is respawned."""
+        join, and stop the monitor so nothing is respawned.  True
+        when every shard exited without being killed."""
         self._stop.set()
         self._thread.join(5.0)
         for shard in self.shards:
             shard.terminate()
-        deadline = self.config.drain_timeout + 10.0
-        for shard in self.shards:
-            shard.join(deadline)
+        deadline = self.config.service.drain_timeout + 10.0
+        # a list, not a generator: every shard is joined, even after
+        # one had to be killed
+        return all([shard.join(deadline) for shard in self.shards])
 
 
 class FrontMetrics:
@@ -472,7 +435,7 @@ class _FrontHandler(JSONHandler):
             self._send_error_json(
                 503, "draining", "service is shutting down",
                 headers={"Retry-After": str(max(1, int(
-                    self.front.config.drain_timeout)))})
+                    self.front.config.service.drain_timeout)))})
             return
         if path == "/v1/check":
             self._proxy_submission("/v1/check")
@@ -546,16 +509,9 @@ class _FrontHandler(JSONHandler):
         self._send_json(status, _prefixed(payload, index))
 
     def _batch(self) -> None:
-        doc = self._read_json()
-        if doc is None:
-            return
-        bundles = doc.get("bundles") if isinstance(doc, dict) else doc
-        if not isinstance(bundles, list) or not bundles:
-            self._send_error_json(
-                400, "bad_request",
-                'body must be {"bundles": [bundle, ...]}')
-            return
-        self._send_json(*self.front.batch(bundles))
+        bundles = self._read_bundles()
+        if bundles is not None:
+            self._send_json(200, self.front.batch(bundles))
 
 
 class ClusterFront:
@@ -570,7 +526,7 @@ class ClusterFront:
         self._draining = threading.Event()
         #: kept connections to the shards, shared by every handler
         #: and hedge thread
-        self.pool = ConnectionPool(config.request_timeout)
+        self.pool = ConnectionPool(config.service.request_timeout)
         #: one breaker per shard, fed from every proxied request;
         #: open breakers divert traffic to the next ring owner
         self.breakers = {
@@ -590,10 +546,11 @@ class ClusterFront:
         self.latency = LatencyTracker(default_delay=config.hedge_delay)
         #: shared token bucket bounding reroute retries and hedges,
         #: so a brownout cannot amplify into a front-side storm
+        checker = config.service.checker
         self.retry_budget = (
-            RetryBudget(config.retry_budget,
-                        config.retry_budget_refill)
-            if config.retry_budget is not None else None)
+            RetryBudget(checker.retry_budget,
+                        checker.retry_budget_refill)
+            if checker.retry_budget is not None else None)
         if self.retry_budget is not None:
             metrics.register_retry_budget(self.retry_budget)
 
@@ -669,8 +626,8 @@ class ClusterFront:
             # routing at the front is not granted twice
             headers[DEADLINE_HEADER] = (
                 f"{max(deadline.remaining(), 0.001):.6f}")
-        return self.pool.request(self.config.host, shard.port, method,
-                                 path, doc, headers)
+        return self.pool.request(self.config.service.host, shard.port,
+                                 method, path, doc, headers)
 
     def _pick_shard(self, key: str) -> ShardProcess | None:
         """The first live shard in *key*'s failover order whose
@@ -825,9 +782,9 @@ class ClusterFront:
             "role": "front",
             "shards": self.config.shards,
             "shards_alive": alive,
-            "workers": self.config.shards * self.config.workers,
+            "workers": self.config.shards * self.config.service.workers,
             "shard_detail": detail,
-            "durable": self.config.state_dir is not None,
+            "durable": self.config.service.state_dir is not None,
         })
 
     def deadletters(self) -> dict:
@@ -845,7 +802,7 @@ class ClusterFront:
         docs.sort(key=lambda d: (len(d["id"]), d["id"]))
         return versioned({"deadletters": docs, "count": len(docs)})
 
-    def batch(self, bundles: list[Any]) -> tuple[int, dict]:
+    def batch(self, bundles: list[Any]) -> dict:
         """Fan a batch out to the owning shards concurrently and
         merge the answers back into submission order."""
         # group positions by shard up front; the ring only changes
@@ -906,56 +863,35 @@ class ClusterFront:
                 "kind": "shard_unavailable",
                 "message": "no shard is alive",
             }}
-        results = [slot for slot in slots if slot is not None]
-        counts: dict[str, int] = {}
-        for result in results:
-            status = result.get("status", "rejected")
-            counts[status] = counts.get(status, 0) + 1
-        return 200, versioned({
-            "results": results,
-            "checked": counts.get("ok", 0),
-            "quarantined": counts.get("quarantined", 0),
-            "rejected": (counts.get("rejected", 0)
-                         + counts.get("invalid", 0)),
-            "shed": counts.get("shed", 0),
-        })
+        return batch_answer([slot for slot in slots
+                             if slot is not None])
 
 
-class ClusterHandle:
+class ClusterHandle(Listener):
     """A running cluster (tests, benchmarks, serve_cluster)."""
 
     def __init__(self, front: ClusterFront,
-                 supervisor: ShardSupervisor,
-                 httpd: KeepAliveHTTPServer,
-                 thread: threading.Thread) -> None:
+                 supervisor: ShardSupervisor) -> None:
         self.front = front
         self.supervisor = supervisor
-        self.httpd = httpd
-        self.thread = thread
+        super().__init__(front.config.service, _FrontHandler, front,
+                         "ppchecker-front-http")
 
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
-
-    def close(self) -> None:
+    def close(self) -> bool:
         """Graceful: 503 new work, drain + SIGTERM the shards, stop
-        the listener."""
+        the listener.  True when every shard drained and exited on
+        its own."""
         self.front.begin_drain()
-        self.supervisor.stop()
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self.thread.join(5.0)
+        drained = self.supervisor.stop()
+        self.stop_listening()
         self.front.pool.close()
+        return drained
 
 
 def start_cluster(config: ClusterConfig) -> ClusterHandle:
     """Spawn the shards, start the front listener, return a handle.
-    ``config.port=0`` binds an ephemeral front port."""
-    run_dir = config.state_dir or tempfile.mkdtemp(
+    ``config.service.port=0`` binds an ephemeral front port."""
+    run_dir = config.service.state_dir or tempfile.mkdtemp(
         prefix="ppchecker-cluster-")
     os.makedirs(run_dir, exist_ok=True)
     # the alive-gauge callback closes over a cell filled in once the
@@ -967,43 +903,17 @@ def start_cluster(config: ClusterConfig) -> ClusterHandle:
     cell.append(supervisor)
     front = ClusterFront(config, supervisor, metrics)
     supervisor.start()
-    httpd = KeepAliveHTTPServer((config.host, config.port),
-                                _FrontHandler, front)
-    if config.port_file is not None:
-        _write_port_file(config.port_file, httpd.server_address[1])
-    thread = threading.Thread(
-        target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
-        daemon=True, name="ppchecker-front-http")
-    thread.start()
-    return ClusterHandle(front, supervisor, httpd, thread)
+    return ClusterHandle(front, supervisor)
 
 
 def serve_cluster(config: ClusterConfig) -> int:
     """Blocking ``ppchecker serve --shards N``: run until
     SIGTERM/SIGINT, then drain the whole cluster gracefully."""
     handle = start_cluster(config)
-    print(f"ppchecker {__version__} front serving on "
-          f"http://{handle.host}:{handle.port} "
-          f"({config.shards} shards x {config.workers} workers)",
-          flush=True)
-    stop = threading.Event()
-
-    def _signal(signum: int, frame: Any) -> None:
-        stop.set()
-
-    previous = {
-        sig: signal.signal(sig, _signal)
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    try:
-        stop.wait()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-    print("draining cluster...", flush=True)
-    handle.close()
-    print("drained, bye", flush=True)
-    return 0
+    return serve_until_signalled(
+        handle, f"front serving on http://{handle.host}:{handle.port} "
+                f"({config.shards} shards x {config.service.workers} "
+                f"workers)")
 
 
 __all__ = [

@@ -1,12 +1,12 @@
 """The shared pipeline behind the service, and its worker pool.
 
 :class:`PipelineRunner` owns one :class:`~repro.core.checker.PPChecker`
-built from the :class:`ServiceConfig` -- memory in front of the shared
-sqlite artifact store when ``cache_dir`` is set, the configured retry
-policy, and an optional fault plan -- and executes jobs with
-quarantine semantics: a failing check becomes a structured
-:class:`~repro.core.report.AppFailure` document, never an unhandled
-exception.
+built from the :class:`ServiceConfig`'s checker recipe -- memory in
+front of the shared sqlite artifact store when ``cache_dir`` is set,
+the configured retry policy, and an optional fault plan -- and
+executes jobs with quarantine semantics: a failing check becomes a
+structured :class:`~repro.core.report.AppFailure` document, never an
+unhandled exception.
 
 :class:`WorkerPool` runs N daemon threads draining the
 :class:`~repro.service.jobs.JobQueue` through the runner.  Workers
@@ -20,17 +20,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.checker import PPChecker
+from repro.core.checker import CheckerOptions, lib_policy_source
 from repro.core.report import AppFailure
-from repro.pipeline.artifacts import build_store
-from repro.pipeline.faults import FaultPlan
 from repro.pipeline.resilience import (
     Deadline,
-    RetryBudget,
-    RetryPolicy,
     deadline_scope,
     is_deadline_error,
 )
@@ -45,7 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class ServiceConfig:
-    """Everything ``ppchecker serve`` needs to build a service."""
+    """Everything ``ppchecker serve`` needs to build a service.  Each
+    field is the ``serve`` flag of the same name (``checker.deadline``
+    is ``--deadline``); :func:`repro.cli.serve_flags` renders a config
+    back into those flags, which is how a ``--shards N`` front spawns
+    its shards."""
 
     host: str = "127.0.0.1"
     port: int = 8742
@@ -56,43 +56,25 @@ class ServiceConfig:
     port_file: str | None = None
     workers: int = 4
     queue_size: int = 64
-    #: directory of the shared sqlite artifact store
-    #: (:class:`~repro.pipeline.artifacts.SharedDiskStore`); a
-    #: ``--shards N`` cluster points every shard at the same one
-    cache_dir: str | None = None
-    #: memory-tier artifact cache capacity (entries).  Per process:
-    #: a ``--shards N`` cluster holds N times this many in aggregate,
-    #: with content-hash routing keeping each shard's share resident.
-    cache_entries: int = 8192
-    max_retries: int = 0
-    stage_timeout: float | None = None
-    fault_plan: FaultPlan | None = None
-    #: lib id -> policy text; resolved by the CLI (directory or
-    #: corpus), injected directly by in-process tests/benchmarks
-    lib_policy_source: Callable[[str], str | None] | None = None
     #: how long a synchronous ``POST /v1/check`` waits for its job
     request_timeout: float = 300.0
     #: SIGTERM drain budget before workers are abandoned
     drain_timeout: float = 10.0
     #: completed jobs kept resolvable by id and content hash
     completed_jobs: int = 256
-    #: cap on request bodies (a serialized bundle), bytes
-    max_body_bytes: int = 32 * 1024 * 1024
     #: directory for the write-ahead job journal (``serve
     #: --state-dir``); None = in-memory only, jobs die with the process
     state_dir: str | None = None
     #: deliveries a journaled job may burn before recovery
     #: dead-letters it as a poison pill
     max_redeliveries: int = 3
-    #: capacity of the process-wide retry token bucket shared by every
-    #: stage retry (``serve --retry-budget``); None = unlimited
-    #: retries, the historical behaviour
-    retry_budget: float | None = None
-    #: tokens the retry bucket regains per second
-    retry_budget_refill: float = 1.0
-    #: default per-job deadline (seconds) applied when a request
-    #: carries none (``serve --deadline``); None = unbounded
-    default_deadline: float | None = None
+    #: directory of ``<lib_id>.txt`` lib policies; None = the corpus's
+    #: (see :func:`repro.core.checker.lib_policy_source`)
+    lib_policies: str | None = None
+    #: the checker recipe: shared artifact cache, retries, fault plan,
+    #: and ``deadline`` -- the default per-job deadline applied when
+    #: a request carries none
+    checker: CheckerOptions = field(default_factory=CheckerOptions)
 
 
 def shed_error(package: str, deadline: Deadline | None,
@@ -146,36 +128,19 @@ class PipelineRunner:
                  metrics: ServiceMetrics) -> None:
         self.config = config
         self.metrics = metrics
-        kwargs = {}
-        if config.lib_policy_source is not None:
-            kwargs["lib_policy_source"] = config.lib_policy_source
-        #: one token bucket shared by every stage retry in the
-        #: process, so a brownout cannot amplify into a retry storm
-        self.retry_budget = (
-            RetryBudget(config.retry_budget,
-                        config.retry_budget_refill)
-            if config.retry_budget is not None else None)
-        self.checker = PPChecker(
-            artifact_store=build_store(
-                cache_dir=config.cache_dir,
-                max_entries=config.cache_entries,
-            ),
-            retry_policy=RetryPolicy(
-                max_retries=config.max_retries,
-                stage_timeout=config.stage_timeout,
-                budget=self.retry_budget,
-            ),
-            fault_plan=config.fault_plan,
-            **kwargs,
-        )
+        self.checker = config.checker.build_checker(
+            lib_policy_source(config.lib_policies))
         #: recent completion rate feeding the load-aware Retry-After
         self.drain_rate = DrainRateEstimator()
         # stage timing / cache counters flow into /metrics without
         # changing stage behaviour
         self.stats.add_listener(metrics.observe_stage)
         metrics.register_thread_ledger(self.stats)
-        if self.retry_budget is not None:
-            metrics.register_retry_budget(self.retry_budget)
+        # one token bucket shared by every stage retry in the
+        # process, so a brownout cannot amplify into a retry storm
+        budget = self.checker.retry_policy.budget
+        if budget is not None:
+            metrics.register_retry_budget(budget)
 
     @property
     def stats(self):

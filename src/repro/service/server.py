@@ -51,6 +51,7 @@ from repro.service.transport import (
     InvalidDeadline,
     JSONHandler,
     KeepAliveHTTPServer,
+    batch_answer,
 )
 
 
@@ -142,7 +143,10 @@ class CheckService:
                     recovered.deliveries)
                 self.metrics.jobs_deadlettered.inc()
                 continue
-            job = Job(recovered.id, recovered.key, bundle)
+            # a replayed job carries no request deadline: it gets
+            # the default, like any submission without one
+            job = Job(recovered.id, recovered.key, bundle,
+                      deadline=self.deadline_for(None))
             job.deliveries = recovered.deliveries
             try:
                 self.queue.put(job)
@@ -179,7 +183,7 @@ class CheckService:
         falling back to the configured default (``serve --deadline``);
         ``None`` = unbounded."""
         if seconds is None:
-            seconds = self.config.default_deadline
+            seconds = self.config.checker.deadline
         return Deadline.after(seconds) if seconds is not None else None
 
     def retry_after_seconds(self) -> int:
@@ -442,14 +446,8 @@ class _Handler(JSONHandler):
         }), headers={"Location": f"/v1/jobs/{job.id}"})
 
     def _batch(self) -> None:
-        doc = self._read_json()
-        if doc is None:
-            return
-        bundles = doc.get("bundles") if isinstance(doc, dict) else doc
-        if not isinstance(bundles, list) or not bundles:
-            self._send_error_json(
-                400, "bad_request",
-                'body must be {"bundles": [bundle, ...]}')
+        bundles = self._read_bundles()
+        if bundles is None:
             return
         slots: list[dict | Job] = []
         for bundle_doc in bundles:
@@ -496,31 +494,29 @@ class _Handler(JSONHandler):
             else:
                 results.append({"status": "pending",
                                 "job_id": slot.id})
-        counts = {"ok": 0, "quarantined": 0, "rejected": 0,
-                  "invalid": 0, "pending": 0, "shed": 0}
-        for result in results:
-            counts[result["status"]] += 1
-        self._send_json(200, versioned({
-            "results": results,
-            "checked": counts["ok"],
-            "quarantined": counts["quarantined"],
-            "rejected": counts["rejected"] + counts["invalid"],
-            "shed": counts["shed"],
-        }))
+        self._send_json(200, batch_answer(results))
 
 
 # -- embedding & the blocking entry point --------------------------------
 
 
-class ServiceHandle:
-    """A running service + HTTP listener (tests, benchmarks, serve)."""
+class Listener:
+    """An HTTP listener serving *app* on a daemon thread, the start
+    and stop shared by a service and a cluster front: bind
+    ``config.host``/``config.port`` (0 = ephemeral), publish the bound
+    port to ``config.port_file`` if set, and serve."""
 
-    def __init__(self, service: CheckService,
-                 httpd: KeepAliveHTTPServer,
-                 thread: threading.Thread) -> None:
-        self.service = service
-        self.httpd = httpd
-        self.thread = thread
+    def __init__(self, config: ServiceConfig,
+                 handler: type[JSONHandler], app: Any,
+                 name: str) -> None:
+        self.httpd = KeepAliveHTTPServer((config.host, config.port),
+                                         handler, app)
+        if config.port_file is not None:
+            _write_port_file(config.port_file, self.port)
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever,
+            kwargs={"poll_interval": 0.05}, daemon=True, name=name)
+        self.thread.start()
 
     @property
     def host(self) -> str:
@@ -530,14 +526,26 @@ class ServiceHandle:
     def port(self) -> int:
         return self.httpd.server_address[1]
 
+    def stop_listening(self) -> None:
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join(5.0)
+
+
+class ServiceHandle(Listener):
+    """A running service + HTTP listener (tests, benchmarks, serve)."""
+
+    def __init__(self, service: CheckService) -> None:
+        self.service = service
+        super().__init__(service.config, _Handler, service,
+                         "ppchecker-http")
+
     def close(self, drain: bool = True,
               deadline: float | None = None) -> bool:
         """Graceful stop: reject new work, drain, join workers, stop
         the listener.  Returns True when the drain completed."""
         drained = self.service.shutdown(drain=drain, deadline=deadline)
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self.thread.join(5.0)
+        self.stop_listening()
         return drained
 
 
@@ -579,29 +587,14 @@ def start_service(config: ServiceConfig) -> ServiceHandle:
     """Start the service and its HTTP listener on a daemon thread.
     ``config.port=0`` binds an ephemeral port (see ``handle.port``,
     or set ``config.port_file`` to have it published to disk)."""
-    service = CheckService(config)
-    httpd = KeepAliveHTTPServer((config.host, config.port), _Handler,
-                                service)
-    if config.port_file is not None:
-        _write_port_file(config.port_file,
-                         httpd.server_address[1])
-    thread = threading.Thread(
-        target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
-        daemon=True, name="ppchecker-http",
-    )
-    thread.start()
-    return ServiceHandle(service, httpd, thread)
+    return ServiceHandle(CheckService(config))
 
 
-def serve(config: ServiceConfig) -> int:
-    """Blocking ``ppchecker serve``: run until SIGTERM/SIGINT, then
-    drain gracefully (503 for new work, queued jobs finish, workers
-    join within ``config.drain_timeout``)."""
-    handle = start_service(config)
-    print(f"ppchecker {__version__} serving on "
-          f"http://{handle.host}:{handle.port} "
-          f"({config.workers} workers, queue {config.queue_size})",
-          flush=True)
+def serve_until_signalled(handle: Any, banner: str) -> int:
+    """Announce *handle* (a :class:`ServiceHandle` or a cluster
+    handle) as ``ppchecker <version> <banner>``, block until
+    SIGTERM/SIGINT, then close it gracefully."""
+    print(f"ppchecker {__version__} {banner}", flush=True)
     stop = threading.Event()
 
     def _signal(signum: int, frame: Any) -> None:
@@ -617,19 +610,31 @@ def serve(config: ServiceConfig) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
     print("draining...", flush=True)
-    drained = handle.close(drain=True)
+    drained = handle.close()
     print("drained, bye" if drained
           else "drain deadline exceeded, abandoning queued jobs",
           flush=True)
     return 0
 
 
+def serve(config: ServiceConfig) -> int:
+    """Blocking ``ppchecker serve``: run until SIGTERM/SIGINT, then
+    drain gracefully (503 for new work, queued jobs finish, workers
+    join within ``config.drain_timeout``)."""
+    handle = start_service(config)
+    return serve_until_signalled(
+        handle, f"serving on http://{handle.host}:{handle.port} "
+                f"({config.workers} workers, queue {config.queue_size})")
+
+
 __all__ = [
     "CheckService",
     "DeadlineExpired",
     "InvalidBundle",
+    "Listener",
     "ServiceHandle",
     "read_port_file",
     "start_service",
     "serve",
+    "serve_until_signalled",
 ]

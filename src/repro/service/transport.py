@@ -35,6 +35,7 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -51,6 +52,9 @@ IDLE_TIMEOUT_S = 30.0
 POOL_IDLE_S = IDLE_TIMEOUT_S / 2
 #: idle connections a pool keeps per ``(host, port)``; more are closed
 POOL_MAX_IDLE = 8
+#: cap on request bodies (a serialized bundle, or a batch of them);
+#: a larger ``Content-Length`` is answered 413 without being read
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: request-level deadline intake: relative seconds, as an HTTP header
 #: or a reserved top-level key in the bundle document.  The field is
@@ -198,8 +202,8 @@ class KeepAliveHTTPServer(ThreadingHTTPServer):
                  handler: type[BaseHTTPRequestHandler],
                  app: Any) -> None:
         #: what the handlers serve (a service or a cluster front):
-        #: :class:`JSONHandler` reads its ``draining``,
-        #: ``metrics.requests`` and ``config.max_body_bytes``
+        #: :class:`JSONHandler` reads its ``draining`` and
+        #: ``metrics.requests``
         self.app = app
         #: connections whose handler waits for the next request line
         self._waiting: set[socket.socket] = set()
@@ -372,12 +376,20 @@ class JSONHandler(BaseHTTPRequestHandler):
             self._send_error_json(411, "length_required",
                                   "Content-Length is required")
             return None
-        length = int(length)
-        limit = self.app.config.max_body_bytes
-        if length > limit:
+        try:
+            length = int(length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._send_error_json(
+                400, "bad_request",
+                "Content-Length must be a non-negative integer")
+            return None
+        if length > MAX_BODY_BYTES:
             self.close_connection = True
             self._send_error_json(413, "too_large",
-                                  f"body exceeds {limit} bytes")
+                                  f"body exceeds {MAX_BODY_BYTES} bytes")
             return None
         body = self.rfile.read(length)
         try:
@@ -386,6 +398,34 @@ class JSONHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, "bad_request",
                                   "request body is not valid JSON")
             return None
+
+    def _read_bundles(self) -> list | None:
+        """The bundle documents of a ``POST /v1/batch`` body, or None
+        after answering 4xx."""
+        doc = self._read_json()
+        if doc is None:
+            return None
+        bundles = doc.get("bundles") if isinstance(doc, dict) else doc
+        if not isinstance(bundles, list) or not bundles:
+            self._send_error_json(
+                400, "bad_request",
+                'body must be {"bundles": [bundle, ...]}')
+            return None
+        return bundles
+
+
+def batch_answer(results: list[dict]) -> dict:
+    """The ``POST /v1/batch`` answer of a service or a front: the
+    per-bundle *results* in submission order, counted by status."""
+    counts = Counter(result.get("status", "rejected")
+                     for result in results)
+    return versioned({
+        "results": results,
+        "checked": counts["ok"],
+        "quarantined": counts["quarantined"],
+        "rejected": counts["rejected"] + counts["invalid"],
+        "shed": counts["shed"],
+    })
 
 
 __all__ = [
@@ -397,7 +437,9 @@ __all__ = [
     "JOB_PATH",
     "JSONHandler",
     "KeepAliveHTTPServer",
+    "MAX_BODY_BYTES",
     "POOL_IDLE_S",
     "POOL_MAX_IDLE",
+    "batch_answer",
     "parse_deadline_seconds",
 ]

@@ -198,3 +198,48 @@ class TestOtherCommands:
     def test_export_corpus_bad_index(self, tmp_path):
         assert main(["export-corpus", "999999",
                      str(tmp_path / "x.json")]) == 2
+
+
+class TestServeFlags:
+    """``serve`` flags and :class:`ServiceConfig` map onto each other
+    one way and back: the front spawns every shard from the rendered
+    flags, so a field lost on the way would silently differ between
+    ``serve`` and ``serve --shards``."""
+
+    @staticmethod
+    def parsed(flags):
+        from repro.cli import build_parser, service_config
+
+        return service_config(build_parser().parse_args(["serve",
+                                                         *flags]))
+
+    def test_every_field_survives_the_round_trip(self):
+        from dataclasses import fields
+
+        from repro.cli import serve_flags
+        from repro.core.checker import CheckerOptions
+        from repro.service.runner import ServiceConfig
+
+        recipe = CheckerOptions(
+            cache_dir="cache", max_retries=2, stage_timeout=0.5,
+            fault_plan="faults.json", deadline=3.25, retry_budget=4.0,
+            retry_budget_refill=0.75)
+        config = ServiceConfig(
+            host="0.0.0.0", port=0, port_file="serve.port", workers=7,
+            queue_size=5, request_timeout=1.5, drain_timeout=2.5,
+            completed_jobs=9, state_dir="state", max_redeliveries=1,
+            lib_policies="libs", checker=recipe)
+        for section, default in ((config, ServiceConfig()),
+                                 (recipe, CheckerOptions())):
+            for f in fields(section):
+                assert getattr(section, f.name) \
+                    != getattr(default, f.name), f.name
+        assert self.parsed(serve_flags(config)) == config
+
+    def test_defaults_survive_the_round_trip(self):
+        from repro.cli import serve_flags
+        from repro.service.runner import ServiceConfig
+
+        assert self.parsed([]) == ServiceConfig()
+        assert self.parsed(serve_flags(ServiceConfig())) \
+            == ServiceConfig()

@@ -25,8 +25,8 @@ import sys
 
 import pytest
 
+from repro.core.checker import CheckerOptions, PPChecker
 from repro.core.study import (
-    ShardOptions,
     merge_study_results,
     run_study,
     run_study_streaming,
@@ -72,7 +72,7 @@ def total_hits(result) -> int:
 class TestShardedStudyEquivalence:
     def test_cold_and_warm_match_serial(self, tmp_path, small_store):
         base = run_study(small_store)
-        options = ShardOptions(cache_dir=str(tmp_path / "cache"))
+        options = CheckerOptions(cache_dir=str(tmp_path / "cache"))
         cold = run_study(CorpusSpec(n_apps=64), shards=4,
                          shard_options=options)
         warm = run_study(CorpusSpec(n_apps=64), shards=4,
@@ -90,8 +90,8 @@ class TestShardedStudyEquivalence:
         spec = CorpusSpec(n_apps=16)
         cache = str(tmp_path / "cache")
         run_study(spec, shards=2,
-                  shard_options=ShardOptions(cache_dir=cache))
-        checker = ShardOptions(cache_dir=cache).build_checker(
+                  shard_options=CheckerOptions(cache_dir=cache))
+        checker = CheckerOptions(cache_dir=cache).build_checker(
             spec.lib_policy)
         for app in spec.iter_apps():
             checker.check(app.bundle)
@@ -164,7 +164,7 @@ class TestShardedStudyEquivalence:
     def test_full_1197_study_cold_and_warm(self, tmp_path,
                                            full_store, checker):
         base = run_study(full_store, checker=checker)
-        options = ShardOptions(cache_dir=str(tmp_path / "cache"))
+        options = CheckerOptions(cache_dir=str(tmp_path / "cache"))
         cold = run_study(CorpusSpec(), shards=4,
                          shard_options=options)
         warm = run_study(CorpusSpec(), shards=4,
@@ -230,24 +230,41 @@ class TestShardedStudyCli:
 
 class TestShardedServiceEquivalence:
     """``/v1/batch`` against ``serve --shards N`` returns the same
-    reports as the single-process service (job ids differ by design:
-    the cluster namespaces them per shard)."""
+    reports as the single-process service, and both equal the
+    in-process checker over the corpus lib policies -- whichever
+    entry point built the service (job ids differ by design: the
+    cluster namespaces them per shard)."""
 
-    N_DOCS = 10
+    #: the first apps of a small corpus, then default-corpus apps
+    #: whose reports depend on the lib policies (inconsistencies with
+    #: a lib's own policy)
+    SMALL_CORPUS = 10
+    LIB_DEPENDENT = (64, 67, 74)
 
     @pytest.fixture(scope="class")
-    def docs(self):
+    def bundles(self):
         from repro.android.packer import unpack
-        from repro.android.serialization import bundle_to_dict
 
-        spec = CorpusSpec(n_apps=64)
-        docs = []
-        for index in range(self.N_DOCS):
-            bundle = spec.app(index).bundle
+        small, default = CorpusSpec(n_apps=64), CorpusSpec()
+        bundles = ([small.app(i).bundle
+                    for i in range(self.SMALL_CORPUS)]
+                   + [default.app(i).bundle
+                      for i in self.LIB_DEPENDENT])
+        for bundle in bundles:
             if bundle.apk.packed:
                 unpack(bundle.apk)
-            docs.append(bundle_to_dict(bundle))
-        return docs
+        return bundles
+
+    @pytest.fixture(scope="class")
+    def docs(self, bundles):
+        from repro.android.serialization import bundle_to_dict
+
+        return [bundle_to_dict(bundle) for bundle in bundles]
+
+    @pytest.fixture(scope="class")
+    def reference_reports(self, bundles):
+        checker = PPChecker(lib_policy_source=CorpusSpec().lib_policy)
+        return [checker.check(bundle).to_dict() for bundle in bundles]
 
     @pytest.fixture(scope="class")
     def single_payload(self, docs):
@@ -264,15 +281,17 @@ class TestShardedServiceEquivalence:
 
     @pytest.fixture(scope="class")
     def cluster_payload(self, docs, tmp_path_factory):
-        from repro.service import ServiceClient
+        from repro.service import ServiceClient, ServiceConfig
         from repro.service.cluster import ClusterConfig, start_cluster
 
         from tests.service.test_cluster import wait_cluster_up
 
         base = tmp_path_factory.mktemp("eqcluster")
         handle = start_cluster(ClusterConfig(
-            port=0, shards=2, workers=1,
-            state_dir=str(base / "state"), drain_timeout=5.0))
+            service=ServiceConfig(port=0, workers=1,
+                                  state_dir=str(base / "state"),
+                                  drain_timeout=5.0),
+            shards=2))
         try:
             client = ServiceClient(port=handle.port, timeout=120.0)
             wait_cluster_up(client, shards=2)
@@ -280,9 +299,11 @@ class TestShardedServiceEquivalence:
         finally:
             handle.close()
 
-    def test_batch_reports_are_byte_identical(self, single_payload,
-                                              cluster_payload):
-        assert cluster_payload["checked"] == self.N_DOCS
+    def test_batch_reports_are_byte_identical(self, docs,
+                                              single_payload,
+                                              cluster_payload,
+                                              reference_reports):
+        assert cluster_payload["checked"] == len(docs)
         assert cluster_payload["checked"] == single_payload["checked"]
         assert cluster_payload["rejected"] \
             == single_payload["rejected"] == 0
@@ -292,6 +313,17 @@ class TestShardedServiceEquivalence:
                            for row in cluster_payload["results"]]
         assert canonical(cluster_reports) \
             == canonical(single_reports)
+        assert canonical(single_reports) \
+            == canonical(reference_reports)
+
+    def test_lib_dependent_apps_need_the_lib_policies(
+            self, bundles, reference_reports):
+        """The extra apps really exercise the lib policies: checked
+        without them, each one's report differs."""
+        bare = PPChecker()
+        for position in range(self.SMALL_CORPUS, len(bundles)):
+            assert bare.check(bundles[position]).to_dict() \
+                != reference_reports[position], position
 
     def test_batch_statuses_match_in_submission_order(
             self, single_payload, cluster_payload):

@@ -22,8 +22,9 @@ import sys
 
 import pytest
 
+from repro.core.checker import CheckerOptions
 from repro.core.results import ShardedResultWriter
-from repro.core.study import ShardOptions, run_study, run_study_streaming
+from repro.core.study import run_study, run_study_streaming
 from repro.corpus.appstore import CorpusSpec
 from repro.pipeline import stages
 from repro.pipeline.executor import BatchItemError
@@ -111,7 +112,7 @@ class TestFailFast:
             "message": "injected crash"}]}))
         with pytest.raises(BatchItemError) as excinfo:
             run_study(spec, limit=4, keep_going=False,
-                      shard_options=ShardOptions(fault_plan=str(plan)),
+                      shard_options=CheckerOptions(fault_plan=str(plan)),
                       **ENGINES[engine])
         error = excinfo.value
         assert error.index == 1

@@ -23,7 +23,8 @@ import time
 
 import pytest
 
-from repro.service import ServiceClient
+from repro.core.checker import CheckerOptions
+from repro.service import ServiceClient, ServiceConfig
 from repro.service.cluster import ClusterConfig, start_cluster
 
 from tests.service.test_service import make_doc
@@ -48,10 +49,11 @@ def wait_cluster_up(client: ServiceClient, shards: int,
 def cluster(tmp_path_factory):
     base = tmp_path_factory.mktemp("cluster")
     handle = start_cluster(ClusterConfig(
-        port=0, shards=2, workers=1,
-        cache_dir=str(base / "cache"),
-        state_dir=str(base / "state"),
-        drain_timeout=5.0,
+        service=ServiceConfig(
+            port=0, workers=1, state_dir=str(base / "state"),
+            drain_timeout=5.0,
+            checker=CheckerOptions(cache_dir=str(base / "cache"))),
+        shards=2,
     ))
     try:
         yield handle
@@ -149,12 +151,12 @@ def chaos_cluster(tmp_path_factory):
          "kind": "crash"},
     ]}))
     handle = start_cluster(ClusterConfig(
-        port=0, shards=3, workers=1,
-        cache_dir=str(base / "cache"),
-        state_dir=str(base / "state"),
-        fault_plan=str(plan),
-        max_redeliveries=1,
-        drain_timeout=5.0,
+        service=ServiceConfig(
+            port=0, workers=1, state_dir=str(base / "state"),
+            max_redeliveries=1, drain_timeout=5.0,
+            checker=CheckerOptions(cache_dir=str(base / "cache"),
+                                   fault_plan=str(plan))),
+        shards=3,
         reroute_timeout=120.0,
     ))
     try:
@@ -256,9 +258,10 @@ class TestShardKillChaos:
 class TestGracefulDrain:
     def test_close_drains_every_shard(self, tmp_path):
         handle = start_cluster(ClusterConfig(
-            port=0, shards=2, workers=1,
-            state_dir=str(tmp_path / "state"),
-            drain_timeout=5.0,
+            service=ServiceConfig(port=0, workers=1,
+                                  state_dir=str(tmp_path / "state"),
+                                  drain_timeout=5.0),
+            shards=2,
         ))
         client = ServiceClient(port=handle.port, timeout=60.0)
         wait_cluster_up(client, shards=2)

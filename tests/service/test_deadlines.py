@@ -15,8 +15,10 @@ import time
 
 import pytest
 
+from repro.android.serialization import bundle_from_dict
+from repro.core.checker import CheckerOptions
 from repro.pipeline.faults import SLOW, FaultPlan, FaultSpec
-from repro.pipeline.resilience import Deadline
+from repro.pipeline.resilience import Deadline, StageError, deadline_scope
 from repro.service import (
     DEADLINE_HEADER,
     ServiceClient,
@@ -24,24 +26,25 @@ from repro.service import (
     start_service,
 )
 
-from tests.service.test_service import make_doc
+from tests.service.test_service import make_doc, plan_file
 
 SLOW_PKG = "com.slow.app"
 
 
-def slow_plan(delay: float = 0.5) -> FaultPlan:
+def slow_plan(directory, delay: float = 0.5) -> str:
     """Every stage of ``com.slow.*`` checks takes *delay* extra
-    seconds -- the brownout shape: correct answers, late."""
-    return FaultPlan([FaultSpec(stage="policy_analysis",
-                                match="com.slow", kind=SLOW,
-                                delay_seconds=delay)])
+    seconds -- the brownout shape: correct answers, late.  Returns
+    the plan's path."""
+    return plan_file(directory, FaultPlan([FaultSpec(
+        stage="policy_analysis", match="com.slow", kind=SLOW,
+        delay_seconds=delay)]))
 
 
 @pytest.fixture()
-def handle():
+def handle(tmp_path):
     h = start_service(ServiceConfig(
         port=0, workers=1, queue_size=8,
-        fault_plan=slow_plan(0.5)))
+        checker=CheckerOptions(fault_plan=slow_plan(tmp_path, 0.5))))
     yield h
     h.close(deadline=5.0)
 
@@ -204,13 +207,36 @@ def test_submit_with_spent_deadline_is_shed_before_the_queue():
         h.close(deadline=5.0)
 
 
+# -- the checker's own deadline vs. an ambient one ------------------------
+
+
+def test_checker_deadline_yields_to_an_ambient_deadline(tmp_path):
+    """``deadline_seconds`` opens a fresh per-check budget only when
+    no deadline is in scope already: the service's checker carries
+    ``serve --deadline``, and a request's explicit (longer)
+    ``deadline_s`` must not be cut down to it."""
+    checker = CheckerOptions(fault_plan=slow_plan(tmp_path, 0.2),
+                             deadline=0.05).build_checker(
+        lambda lib_id: None)
+    bundle = bundle_from_dict(make_doc(package=SLOW_PKG))
+    # alone, the checker's own budget cuts the slow check
+    with pytest.raises(StageError, match="timeout"):
+        checker.check(bundle)
+    # inside a longer ambient deadline, the same check completes
+    with deadline_scope(Deadline.after(5.0)):
+        report = checker.check(bundle)
+    assert report.package == SLOW_PKG
+
+
 # -- service-wide default & load-aware Retry-After -------------------------
 
 
-def test_configured_default_deadline_applies_without_request_one():
+def test_configured_default_deadline_applies_without_request_one(
+        tmp_path):
     h = start_service(ServiceConfig(
         port=0, workers=1, queue_size=4,
-        fault_plan=slow_plan(0.6), default_deadline=0.15))
+        checker=CheckerOptions(fault_plan=slow_plan(tmp_path, 0.6),
+                               deadline=0.15)))
     try:
         client = ServiceClient(port=h.port, timeout=60.0)
         status, _, payload = client.request(
@@ -222,14 +248,19 @@ def test_configured_default_deadline_applies_without_request_one():
         doc["deadline_s"] = 60.0
         status, _, payload = client.request("POST", "/v1/check", doc)
         assert status == 200
+        # ... also when the check outlasts the default
+        doc = make_doc(package=f"{SLOW_PKG}.override")
+        doc["deadline_s"] = 60.0
+        status, _, payload = client.request("POST", "/v1/check", doc)
+        assert status == 200
     finally:
         h.close(deadline=5.0)
 
 
-def test_429_carries_load_aware_retry_after():
+def test_429_carries_load_aware_retry_after(tmp_path):
     h = start_service(ServiceConfig(
         port=0, workers=1, queue_size=1,
-        fault_plan=slow_plan(0.5)))
+        checker=CheckerOptions(fault_plan=slow_plan(tmp_path, 0.5))))
     try:
         client = ServiceClient(port=h.port, timeout=60.0)
         saw_429 = None

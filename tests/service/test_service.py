@@ -7,13 +7,14 @@ the same path ``ppchecker serve`` traffic takes.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
 from repro import __version__
 from repro.android.serialization import bundle_to_dict
-from repro.core.checker import AppBundle, PPChecker
+from repro.core.checker import AppBundle, CheckerOptions, PPChecker
 from repro.core.schema import SCHEMA_VERSION
 from repro.pipeline.faults import FaultPlan, FaultSpec
 from repro.service import (
@@ -32,6 +33,14 @@ from tests.android.appbuilder import (
     empty_apk,
     invoke,
 )
+
+
+def plan_file(directory, plan: FaultPlan) -> str:
+    """*plan* written as a JSON fault plan under *directory*; returns
+    its path (the checker recipe takes a path, not a live plan)."""
+    path = directory / "faults.json"
+    path.write_text(json.dumps(plan.to_dict()))
+    return str(path)
 
 
 def make_doc(package=PKG, policy="We collect your email.",
@@ -218,13 +227,14 @@ class TestCoalescing:
 
 class TestQuarantine:
     @pytest.fixture()
-    def faulty_handle(self):
+    def faulty_handle(self, tmp_path):
         plan = FaultPlan([FaultSpec(stage="static_analysis",
                                     kind="raise",
                                     message="injected crash")])
-        h = start_service(ServiceConfig(port=0, workers=2,
-                                        queue_size=8,
-                                        fault_plan=plan))
+        h = start_service(ServiceConfig(
+            port=0, workers=2, queue_size=8,
+            checker=CheckerOptions(fault_plan=plan_file(tmp_path,
+                                                        plan))))
         yield h
         h.close(deadline=5.0)
 

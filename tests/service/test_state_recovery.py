@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.core.checker import CheckerOptions
 from repro.durability.service_log import ServiceLog, deadletter_doc
 from repro.pipeline.faults import CRASH_EXIT_CODE
 from repro.service import ServiceClient, ServiceConfig, start_service
@@ -144,6 +145,24 @@ class TestInProcessRestart:
             assert "ppchecker_journal_size_bytes" in text
         finally:
             second.close(deadline=5.0)
+
+    def test_replayed_job_gets_the_default_deadline(self, tmp_path):
+        """A journaled job carries no request deadline; replayed by a
+        service with a default (``serve --deadline``), it is bounded
+        by that default like any submission without one."""
+        first = start_service(durable_config(tmp_path, workers=0))
+        client = ServiceClient(port=first.port)
+        stub = client.submit(make_doc(package="com.example.replayed"))
+        first.close(drain=False, deadline=0.1)
+
+        second = start_service(durable_config(
+            tmp_path, workers=0, checker=CheckerOptions(deadline=30.0)))
+        try:
+            job = second.service.job(stub["id"])
+            assert job.deadline is not None
+            assert job.deadline.budget == 30.0
+        finally:
+            second.close(drain=False, deadline=0.1)
 
     def test_new_ids_never_collide_with_journaled_ones(self,
                                                        tmp_path):

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.core.checker import CheckerOptions
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -35,6 +36,7 @@ from repro.service.cluster import (
     start_cluster,
 )
 from repro.service.transport import (
+    MAX_BODY_BYTES,
     ConnectionPool,
     JSONHandler,
     KeepAliveHTTPServer,
@@ -284,7 +286,9 @@ class TestFrontPool:
         first = start_service(ServiceConfig(port=0, workers=1))
         port = first.port
         front = front_over([port], breaker_failures=1,
-                           retry_budget=3.0, retry_budget_refill=0.0)
+                           service=ServiceConfig(checker=CheckerOptions(
+                               retry_budget=3.0,
+                               retry_budget_refill=0.0)))
         shard = front.supervisor.shards[0]
         breaker = front.breakers[shard.name]
         try:
@@ -408,7 +412,8 @@ class TestServerKeepAlive:
 
     def test_front_close_refuses_kept_connections(self):
         for _ in range(20):
-            handle = start_cluster(ClusterConfig(port=0, shards=0))
+            handle = start_cluster(ClusterConfig(
+                service=ServiceConfig(port=0), shards=0))
             conn = kept_connection(handle.port)
             client = ServiceClient(port=handle.port)
             assert client.healthz()["role"] == "front"
@@ -434,3 +439,49 @@ class TestServerKeepAlive:
             assert "a real bug" in capsys.readouterr().err
         finally:
             server.server_close()
+
+
+@pytest.fixture(params=["serve", "front"])
+def listener(request):
+    """A single-process service, or a cluster front with no shards
+    (both servers frame requests through :class:`JSONHandler`)."""
+    if request.param == "serve":
+        handle = start_service(ServiceConfig(port=0, workers=1))
+    else:
+        handle = start_cluster(ClusterConfig(
+            service=ServiceConfig(port=0), shards=0))
+    yield handle
+    handle.close()
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("length, status, kind", [
+        (None, 411, "length_required"),
+        (str(MAX_BODY_BYTES + 1), 413, "too_large"),
+        ("abc", 400, "bad_request"),
+        ("-1", 400, "bad_request"),
+    ])
+    def test_bad_content_length_is_a_prompt_typed_answer(
+            self, listener, length, status, kind):
+        """No body is sent: a server that tried to read one would
+        hang until the client gave up.  Each answer is typed JSON
+        that closes the connection."""
+        head = "POST /v1/check HTTP/1.1\r\nHost: localhost\r\n"
+        if length is not None:
+            head += f"Content-Length: {length}\r\n"
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", listener.port),
+                                      timeout=5.0) as sock:
+            sock.sendall((head + "\r\n").encode())
+            raw = b""
+            while chunk := sock.recv(65536):  # EOF: the server hung up
+                raw += chunk
+        assert time.monotonic() - started < 5.0
+        head_bytes, _, body = raw.partition(b"\r\n\r\n")
+        lines = head_bytes.decode("latin-1").split("\r\n")
+        headers = {name.strip().lower(): value.strip()
+                   for name, _, value in
+                   (line.partition(":") for line in lines[1:])}
+        assert int(lines[0].split()[1]) == status
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]["kind"] == kind
