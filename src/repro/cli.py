@@ -136,26 +136,46 @@ def _print_recovery(recovery) -> None:
     print(f"  {'reports replayed':<22} {recovery.reports_replayed}")
     print(f"  {'quarantine replayed':<22} "
           f"{recovery.quarantine_replayed}")
-    print(f"  {'torn bytes dropped':<22} {recovery.torn_bytes}")
     print()
 
 
 def _open_run_log(args: argparse.Namespace, meta: dict):
     """``(runlog, skip)`` for --journal/--resume, or ``(None, {})``
-    without --journal.  Raises SystemExit(2) on a journal that
-    belongs to a different run or would be clobbered."""
+    without --journal.  Raises SystemExit(2) on a file that is not a
+    journal, or a journal that belongs to a different run or would
+    be clobbered."""
     if args.journal is None:
         return None, {}
+    from repro.durability.journal import JournalError
     from repro.durability.study_log import RunLogError, open_run_log
 
     try:
         runlog, skip = open_run_log(args.journal, meta,
                                     resume=args.resume)
-    except RunLogError as exc:
+    except (JournalError, RunLogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
     _print_recovery(runlog.recovery)
     return runlog, skip
+
+
+def _load_bundle(path: str):
+    """The bundle at *path*, or SystemExit(2) with one
+    ``error: <path>: ...`` line when the file is missing, is not
+    JSON, or is not a bundle document (exit 1 means findings under
+    --fail-on-findings, never a broken input)."""
+    from repro.android.serialization import load_bundle
+
+    try:
+        return load_bundle(path)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        reason = f"not JSON ({exc})"
+    except Exception as exc:
+        reason = f"not a bundle document ({exc!r})"
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _print_quarantine(failures) -> None:
@@ -168,10 +188,9 @@ def _print_quarantine(failures) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from repro.android.serialization import load_bundle
     from repro.core.checker import lib_policy_source
 
-    bundle = load_bundle(args.bundle)
+    bundle = _load_bundle(args.bundle)
     checker = _checker_options(args).build_checker(
         lib_policy_source(args.lib_policies))
     report = checker.check(bundle)
@@ -187,14 +206,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_batch_check(args: argparse.Namespace) -> int:
-    from repro.android.serialization import bundle_to_dict, load_bundle
+    from repro.android.serialization import bundle_to_dict
     from repro.core.checker import lib_policy_source
     from repro.core.report import AppFailure, partition_outcomes
     from repro.hashing import fingerprint
 
+    bundles = [_load_bundle(path) for path in args.bundles]
     checker = _checker_options(args).build_checker(
         lib_policy_source(args.lib_policies))
-    bundles = [load_bundle(path) for path in args.bundles]
     # outcomes are keyed by bundle content digest, so a resumed run
     # matches journal records to bundles regardless of path order
     keys = [fingerprint(bundle_to_dict(bundle)) for bundle in bundles]
@@ -446,10 +465,9 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 
 
 def cmd_genpolicy(args: argparse.Namespace) -> int:
-    from repro.android.serialization import load_bundle
     from repro.policy.autoppg import generate_policy
 
-    bundle = load_bundle(args.bundle)
+    bundle = _load_bundle(args.bundle)
     print(generate_policy(bundle.apk, app_name=bundle.package))
     return 0
 
@@ -468,9 +486,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             breaker_latency=args.breaker_latency,
             breaker_cooloff=args.breaker_cooloff,
         ))
+    from repro.durability.journal import JournalError
     from repro.service.server import serve
 
-    return serve(config)
+    try:
+        return serve(config)
+    except JournalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def cmd_export_corpus(args: argparse.Namespace) -> int:

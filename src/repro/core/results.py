@@ -44,6 +44,7 @@ from typing import Any, Iterator
 
 from repro.core.report import AppFailure, AppReport
 from repro.core.schema import versioned
+from repro.durability.journal import fsync_dir
 
 #: bump when a line's keys are renamed/removed or change meaning.
 RESULTS_FORMAT = 1
@@ -158,11 +159,7 @@ class ShardedResultWriter:
             final = os.path.join(self.out_dir, shard_name(shard))
             os.replace(handle.name, final)
         # the renames become durable with the directory entry
-        dir_fd = os.open(self.out_dir, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        fsync_dir(self.out_dir)
 
     def abort(self) -> None:
         """Drop the temporaries (crash path; finalized shards stay)."""

@@ -4,9 +4,11 @@ Long batch runs and a long-running service both die ungracefully in
 the real world -- OOM kills, node preemption, power loss.  This
 package makes that survivable:
 
-- :mod:`repro.durability.journal` -- the primitive: an append-only,
-  CRC-checksummed JSONL journal with fsync'd commits and
-  torn-tail-tolerant replay.
+- :mod:`repro.durability.journal` -- the primitive: numbered records
+  as rows of one stamped sqlite file (WAL, ``synchronous = FULL``),
+  one autocommit ``INSERT`` per append.  A file that is not a journal
+  is refused with :class:`~repro.durability.journal.JournalError`,
+  never overwritten.
 - :mod:`repro.durability.study_log` -- per-app outcome checkpoints
   for ``study --journal`` / ``batch-check --journal``; ``--resume``
   replays finished apps and recomputes only the rest, reproducing
@@ -16,44 +18,6 @@ package makes that survivable:
   startup, and jobs that repeatedly crash the process are
   dead-lettered after a bounded number of redeliveries.
 
-See DESIGN.md §12 for the journal format, commit points, replay
+See DESIGN.md §12 for the journal layout, commit points, replay
 rules, and the dead-letter policy.
 """
-
-from repro.durability.journal import (
-    Journal,
-    ReplayResult,
-    decode_record,
-    encode_record,
-    fsync_dir,
-    replay,
-)
-from repro.durability.service_log import (
-    RecoveredJob,
-    RecoveredState,
-    ServiceLog,
-    deadletter_doc,
-)
-from repro.durability.study_log import (
-    RecoveryInfo,
-    RunLog,
-    RunLogError,
-    open_run_log,
-)
-
-__all__ = [
-    "Journal",
-    "ReplayResult",
-    "decode_record",
-    "encode_record",
-    "fsync_dir",
-    "replay",
-    "RecoveredJob",
-    "RecoveredState",
-    "ServiceLog",
-    "deadletter_doc",
-    "RecoveryInfo",
-    "RunLog",
-    "RunLogError",
-    "open_run_log",
-]

@@ -1,31 +1,23 @@
-"""An append-only, checksummed JSONL write-ahead journal.
+"""An append-only write-ahead journal: numbered rows in one sqlite file.
 
-The durability primitive everything in :mod:`repro.durability` builds
-on.  One journal is one file of newline-terminated records::
+One journal is one database with one table, ``records(seq INTEGER
+PRIMARY KEY, type TEXT, payload TEXT)`` (``payload`` is canonical
+JSON), in WAL mode with ``synchronous = FULL``.
 
-    {"crc":"4f2c1a9b","record":{"payload":{...},"seq":1,"type":"meta"}}
+- **Commit point.** :meth:`Journal.append` is one autocommit
+  ``INSERT``: once it returns, the record survives a ``kill -9`` or
+  power loss.  A torn append is sqlite's to roll back, so replay sees
+  whole records numbered 1..N.  The parent directory is fsync'd when
+  the file is created, so the file itself survives too.
+- **Identity.** A journal is stamped with :data:`APPLICATION_ID` in
+  the transaction that creates its table.  Any other file -- a text
+  file, an older build's JSONL journal, an ``artifacts.sqlite`` cache
+  -- raises :class:`JournalError` and is left untouched.  The artifact
+  cache is disposable and rebuilt when damaged; a journal is
+  authoritative, so it is refused instead.
 
-- **Commit point.** :meth:`Journal.append` serializes the record,
-  writes the full line, flushes, and ``fsync``\\ s the file descriptor
-  before returning -- once ``append`` returns, the record survives a
-  ``kill -9`` or power loss.  The journal's parent directory is
-  fsync'd when the file is created, so the *file itself* survives
-  too.
-- **Torn-tail tolerance.** A crash mid-append leaves a partial last
-  line.  :func:`replay` verifies, per line: newline-terminated, valid
-  JSON, CRC32 over the canonical record body matches, and sequence
-  numbers are contiguous from 1.  The first violation ends replay --
-  every record before it is returned, everything from it on is the
-  torn tail.  Committed records can therefore never be dropped by a
-  later torn append (the hypothesis suite truncates at every byte
-  offset to prove it).
-- **Truncation repair.** :meth:`Journal.open` replays, truncates the
-  file back to the last committed byte, and resumes appending with
-  the next sequence number -- so a journal that survived a crash is
-  immediately appendable again.
-
-Records are plain dicts; interpretation (study checkpoints, service
-jobs) lives in :mod:`repro.durability.study_log` and
+Interpretation (study checkpoints, service jobs) lives in
+:mod:`repro.durability.study_log` and
 :mod:`repro.durability.service_log`.
 """
 
@@ -33,14 +25,18 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+import sqlite3
+import threading
+from typing import Any, Callable
 
 from repro.hashing import canonical_json
 
-#: bump when the line format (not the payload contents) changes
-JOURNAL_FORMAT = 1
+#: ``PRAGMA application_id`` of every journal file ("PPJL")
+APPLICATION_ID = 0x50504A4C
+
+
+class JournalError(RuntimeError):
+    """The file is not a journal (or cannot be opened as one)."""
 
 
 def fsync_dir(path: str) -> None:
@@ -57,158 +53,117 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _crc(record_json: str) -> str:
-    return format(zlib.crc32(record_json.encode("utf-8")) & 0xFFFFFFFF,
-                  "08x")
-
-
-def encode_record(seq: int, type: str, payload: Any) -> bytes:
-    """One journal line (newline-terminated UTF-8) for the record."""
-    record = {"payload": payload, "seq": seq, "type": type}
-    body = canonical_json(record)
-    line = canonical_json({"crc": _crc(body), "record": record})
-    return line.encode("utf-8") + b"\n"
-
-
-def decode_record(line: bytes) -> dict[str, Any]:
-    """Parse and verify one journal line back into its record dict.
-
-    Raises ``ValueError`` when the line is torn: not newline-
-    terminated, not JSON, the wrong shape, or failing its checksum.
-    """
-    if not line.endswith(b"\n"):
-        raise ValueError("torn line: missing trailing newline")
+def _connect(path: str) -> tuple[sqlite3.Connection, bool]:
+    """``(connection, stamped)``; *stamped* is False for a database
+    that holds nothing yet (an empty file).  Raises
+    :class:`JournalError`, having written nothing, for anything else."""
+    conn = None
     try:
-        doc = json.loads(line)
-    except ValueError as exc:
-        raise ValueError(f"torn line: not JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "record" not in doc \
-            or "crc" not in doc:
-        raise ValueError("torn line: not a journal record")
-    record = doc["record"]
-    if not isinstance(record, dict) or "seq" not in record \
-            or "type" not in record or "payload" not in record:
-        raise ValueError("torn line: incomplete record body")
-    if _crc(canonical_json(record)) != doc["crc"]:
-        raise ValueError("torn line: checksum mismatch")
-    return record
+        conn = sqlite3.connect(path, timeout=5.0, isolation_level=None,
+                               check_same_thread=False)
+        (app_id,) = conn.execute("PRAGMA application_id").fetchone()
+        empty = app_id == 0 and conn.execute(
+            "SELECT 1 FROM sqlite_master").fetchone() is None
+    except sqlite3.Error as exc:
+        if conn is not None:
+            conn.close()
+        raise JournalError(f"{path}: not a journal ({exc})") from exc
+    if app_id != APPLICATION_ID and not empty:
+        conn.close()
+        raise JournalError(f"{path}: not a journal (a sqlite database "
+                           "of another application)")
+    return conn, not empty
 
 
-@dataclass
-class ReplayResult:
-    """What :func:`replay` recovered from a journal file."""
-
-    records: list[dict[str, Any]] = field(default_factory=list)
-    #: byte offset just past the last committed record -- the point
-    #: :meth:`Journal.open` truncates back to
-    committed_bytes: int = 0
-    #: bytes of torn tail discarded (0 for a cleanly closed journal)
-    torn_bytes: int = 0
-
-    @property
-    def torn(self) -> bool:
-        return self.torn_bytes > 0
-
-
-def replay(path: str) -> ReplayResult:
-    """Read every committed record of the journal at *path*.
-
-    Never raises on a torn or corrupt tail: replay stops at the first
-    unverifiable line and reports how many bytes it discarded.  A
-    missing file replays as empty.
-    """
-    result = ReplayResult()
+def _select(conn: sqlite3.Connection, path: str) -> list[dict[str, Any]]:
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except FileNotFoundError:
-        return result
-    offset = 0
-    expected_seq = 1
-    while offset < len(data):
-        end = data.find(b"\n", offset)
-        line = data[offset:] if end < 0 else data[offset:end + 1]
-        try:
-            record = decode_record(line)
-        except ValueError:
-            break
-        if record["seq"] != expected_seq:
-            # a record from a recycled file or an overwritten tail:
-            # everything from here is untrustworthy
-            break
-        result.records.append(record)
-        result.committed_bytes = offset + len(line)
-        expected_seq += 1
-        offset += len(line)
-    result.torn_bytes = len(data) - result.committed_bytes
-    return result
+        return [{"payload": json.loads(payload), "seq": seq, "type": type}
+                for seq, type, payload in conn.execute(
+                    "SELECT seq, type, payload FROM records ORDER BY seq")]
+    except (sqlite3.DatabaseError, ValueError) as exc:
+        # a damaged journal is refused, never replayed in part
+        raise JournalError(f"{path}: unreadable journal ({exc})") \
+            from exc
+
+
+def replay(path: str) -> list[dict[str, Any]]:
+    """Every committed record of the journal at *path*, in ``seq``
+    order; a missing or empty file replays as empty.  Writes nothing
+    (and raises :class:`JournalError`) for a file that is not a
+    journal."""
+    if not os.path.exists(path):
+        return []
+    conn, stamped = _connect(path)
+    try:
+        return _select(conn, path) if stamped else []
+    finally:
+        conn.close()
 
 
 class Journal:
     """An open, appendable write-ahead journal.
 
-    ``listener(type, nbytes)`` (optional) observes every committed
-    append -- the service's metrics bridge.  Instances are not
-    thread-safe by themselves; callers serialize appends (the
-    higher-level logs hold a lock).
+    ``listener(type)`` (optional) observes every committed append --
+    the service's metrics bridge.  Appends from any thread are
+    serialized by the journal's own lock.
     """
 
     def __init__(self, path: str,
-                 listener: Callable[[str, int], None] | None = None,
+                 listener: Callable[[str], None] | None = None,
                  ) -> None:
         self.path = path
         self.listener = listener
-        self.appended = 0
+        self._lock = threading.Lock()
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         existed = os.path.exists(path)
-        self.replayed = replay(path)
-        self._next_seq = len(self.replayed.records) + 1
-        # repair: drop any torn tail so new appends land on a
-        # committed boundary
-        self._fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
+        self._conn, stamped = _connect(path)
         try:
-            os.ftruncate(self._fd, self.replayed.committed_bytes)
-            os.lseek(self._fd, 0, os.SEEK_END)
-            if not existed:
-                fsync_dir(parent)
-        except BaseException:
-            os.close(self._fd)
-            raise
-
-    # -- appending ---------------------------------------------------------
+            if not stamped:
+                self._conn.executescript(
+                    "BEGIN IMMEDIATE;"
+                    f" PRAGMA application_id = {APPLICATION_ID};"
+                    " CREATE TABLE IF NOT EXISTS records ("
+                    "  seq INTEGER PRIMARY KEY, type TEXT NOT NULL,"
+                    "  payload TEXT NOT NULL);"
+                    " COMMIT;")
+            self._conn.execute("PRAGMA journal_mode = WAL")
+            self._conn.execute("PRAGMA synchronous = FULL")
+        except sqlite3.Error as exc:
+            self._conn.close()
+            raise JournalError(f"{path}: cannot open journal ({exc})") \
+                from exc
+        if not existed:
+            fsync_dir(parent)
 
     def append(self, type: str, payload: Any) -> dict[str, Any]:
         """Durably append one record; returns it once committed."""
-        line = encode_record(self._next_seq, type, payload)
-        os.write(self._fd, line)
-        os.fsync(self._fd)
-        record = {"payload": payload, "seq": self._next_seq,
-                  "type": type}
-        self._next_seq += 1
-        self.appended += 1
+        with self._lock:
+            seq = self._conn.execute(
+                "INSERT INTO records (type, payload) VALUES (?, ?)",
+                (type, canonical_json(payload))).lastrowid
         if self.listener is not None:
-            self.listener(type, len(line))
-        return record
+            self.listener(type)
+        return {"payload": payload, "seq": seq, "type": type}
 
-    # -- introspection -----------------------------------------------------
+    def records(self) -> list[dict[str, Any]]:
+        """Every committed record, in ``seq`` order."""
+        with self._lock:
+            return _select(self._conn, self.path)
 
     @property
     def size_bytes(self) -> int:
-        try:
-            return os.fstat(self._fd).st_size
-        except OSError:  # pragma: no cover - closed journal
-            return 0
-
-    def records(self) -> Iterator[dict[str, Any]]:
-        """The records committed before this journal was opened."""
-        return iter(self.replayed.records)
+        """On-disk size: the database file plus its ``-wal``."""
+        size = 0
+        for name in (self.path, self.path + "-wal"):
+            try:
+                size += os.path.getsize(name)
+            except FileNotFoundError:
+                pass
+        return size
 
     def close(self) -> None:
-        try:
-            os.close(self._fd)
-        except OSError:  # pragma: no cover - double close
-            pass
+        self._conn.close()
 
     def __enter__(self) -> Journal:
         return self
@@ -217,12 +172,5 @@ class Journal:
         self.close()
 
 
-__all__ = [
-    "JOURNAL_FORMAT",
-    "fsync_dir",
-    "encode_record",
-    "decode_record",
-    "ReplayResult",
-    "replay",
-    "Journal",
-]
+__all__ = ["APPLICATION_ID", "JournalError", "fsync_dir", "replay",
+           "Journal"]

@@ -2,7 +2,7 @@
 and dead-lettering for poison pills.
 
 ``ppchecker serve --state-dir DIR`` opens a :class:`ServiceLog` over
-``DIR/jobs.jsonl``.  The record vocabulary:
+``DIR/jobs.sqlite``.  The record vocabulary:
 
 - ``accepted``     -- a job entered the queue: id, content key,
   package, and the full canonical bundle document (enough to rebuild
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.durability.journal import Journal
+from repro.durability.journal import Journal, JournalError
 
 JOB_ACCEPTED = "accepted"
 JOB_STARTED = "started"
@@ -78,7 +77,6 @@ class RecoveredState:
     #: highest job number ever issued (the index counter resumes past it)
     max_job_number: int = 0
     records_replayed: int = 0
-    torn_bytes: int = 0
 
 
 def deadletter_doc(job_id: str, key: str, package: str,
@@ -106,47 +104,52 @@ def deadletter_doc(job_id: str, key: str, package: str,
 class ServiceLog:
     """The service's write-ahead job journal (thread-safe appends)."""
 
-    FILENAME = "jobs.jsonl"
+    FILENAME = "jobs.sqlite"
+    #: an older build's JSONL job journal, which this build cannot read
+    LEGACY_FILENAME = "jobs.jsonl"
 
     def __init__(self, state_dir: str,
-                 listener: Callable[[str, int], None] | None = None,
+                 listener: Callable[[str], None] | None = None,
                  ) -> None:
+        legacy = os.path.join(state_dir, self.LEGACY_FILENAME)
+        if os.path.exists(legacy):
+            # starting without it would silently drop every job that
+            # build acknowledged
+            raise JournalError(
+                f"{legacy}: job journal of an older build; finish its "
+                f"jobs with that build or remove the file")
         os.makedirs(state_dir, exist_ok=True)
         self.state_dir = state_dir
         self.journal = Journal(os.path.join(state_dir, self.FILENAME),
                                listener=listener)
-        self._lock = threading.Lock()
 
     # -- append sites (accept path + worker loop) --------------------------
 
-    def _append(self, type: str, payload: dict[str, Any]) -> None:
-        with self._lock:
-            self.journal.append(type, payload)
-
     def job_accepted(self, job_id: str, key: str, package: str,
                      bundle_doc: dict[str, Any]) -> None:
-        self._append(JOB_ACCEPTED, {
+        self.journal.append(JOB_ACCEPTED, {
             "id": job_id, "key": key, "package": package,
             "bundle": bundle_doc,
         })
 
     def job_started(self, job_id: str, delivery: int) -> None:
-        self._append(JOB_STARTED, {"id": job_id,
-                                   "delivery": delivery})
+        self.journal.append(JOB_STARTED, {"id": job_id,
+                                          "delivery": delivery})
 
     def job_completed(self, job_id: str) -> None:
-        self._append(JOB_COMPLETED, {"id": job_id})
+        self.journal.append(JOB_COMPLETED, {"id": job_id})
 
     def job_quarantined(self, job_id: str,
                         error: dict[str, Any]) -> None:
-        self._append(JOB_QUARANTINED, {"id": job_id, "error": error})
+        self.journal.append(JOB_QUARANTINED,
+                            {"id": job_id, "error": error})
 
     def job_deadlettered(self, job_id: str, deliveries: int) -> None:
-        self._append(JOB_DEADLETTERED, {"id": job_id,
-                                        "deliveries": deliveries})
+        self.journal.append(JOB_DEADLETTERED,
+                            {"id": job_id, "deliveries": deliveries})
 
     def job_shed(self, job_id: str, error: dict[str, Any]) -> None:
-        self._append(JOB_SHED, {"id": job_id, "error": error})
+        self.journal.append(JOB_SHED, {"id": job_id, "error": error})
 
     # -- recovery ----------------------------------------------------------
 
@@ -158,8 +161,7 @@ class ServiceLog:
         decision is itself crash-safe (a second recovery sees the
         ``deadlettered`` record, not a fresh delivery budget).
         """
-        state = RecoveredState(
-            torn_bytes=self.journal.replayed.torn_bytes)
+        state = RecoveredState()
         jobs: dict[str, RecoveredJob] = {}
         order: list[str] = []
         deliveries_only: dict[str, int] = {}

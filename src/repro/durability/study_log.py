@@ -25,13 +25,11 @@ round-trip exactly and every aggregate is derived from them.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.report import AppFailure, AppReport
-from repro.durability.journal import JOURNAL_FORMAT, Journal, replay
+from repro.durability.journal import Journal
 
 META = "meta"
 OUTCOME = "outcome"
@@ -52,18 +50,7 @@ class RecoveryInfo:
     records_replayed: int = 0
     reports_replayed: int = 0
     quarantine_replayed: int = 0
-    torn_bytes: int = 0
     resumed: bool = False
-
-    def to_dict(self) -> dict[str, int | str | bool]:
-        return {
-            "path": self.path,
-            "resumed": self.resumed,
-            "records_replayed": self.records_replayed,
-            "reports_replayed": self.reports_replayed,
-            "quarantine_replayed": self.quarantine_replayed,
-            "torn_bytes": self.torn_bytes,
-        }
 
 
 class RunLog:
@@ -74,13 +61,8 @@ class RunLog:
         self.journal = journal
         self.meta = meta
         self.recovery = recovery
-        self._lock = threading.Lock()
 
     # -- opening -----------------------------------------------------------
-
-    @staticmethod
-    def _meta_record(meta: dict[str, Any]) -> dict[str, Any]:
-        return {"format": JOURNAL_FORMAT, **meta}
 
     @classmethod
     def fresh(cls, path: str, meta: dict[str, Any]) -> RunLog:
@@ -89,12 +71,13 @@ class RunLog:
         Refuses to clobber an existing journal with committed records
         -- pass ``--resume`` (use :meth:`resume`) or delete the file.
         """
-        if replay(path).records:
-            raise RunLogError(
-                f"{path}: journal already holds a run; resume it "
-                f"or remove the file")
         journal = Journal(path)
-        journal.append(META, cls._meta_record(meta))
+        if journal.records():
+            journal.close()
+            raise RunLogError(
+                f"{path}: journal already exists; pass --resume to "
+                f"continue that run or remove the file")
+        journal.append(META, meta)
         return cls(journal, meta, RecoveryInfo(path=path))
 
     @classmethod
@@ -109,22 +92,18 @@ class RunLog:
         match *meta*.
         """
         journal = Journal(path)
-        records = list(journal.records())
-        recovery = RecoveryInfo(
-            path=path,
-            torn_bytes=journal.replayed.torn_bytes,
-        )
+        records = journal.records()
+        recovery = RecoveryInfo(path=path)
         if not records:
-            journal.append(META, cls._meta_record(meta))
+            journal.append(META, meta)
             return cls(journal, meta, recovery), {}
         head = records[0]
-        expected = cls._meta_record(meta)
-        if head["type"] != META or head["payload"] != expected:
+        if head["type"] != META or head["payload"] != meta:
             journal.close()
             raise RunLogError(
                 f"{path}: journal belongs to a different run "
-                f"(journal meta {head.get('payload')!r} != expected "
-                f"{expected!r})")
+                f"(journal meta {head['payload']!r} != expected "
+                f"{meta!r})")
         outcomes: dict[str, AppReport | AppFailure] = {}
         recovery.resumed = True
         for record in records[1:]:
@@ -134,10 +113,8 @@ class RunLog:
             key = payload["key"]
             if payload["kind"] == QUARANTINE:
                 outcomes[key] = AppFailure.from_dict(payload["doc"])
-                recovery.quarantine_replayed += 1
             else:
                 outcomes[key] = AppReport.from_dict(payload["doc"])
-                recovery.reports_replayed += 1
         recovery.records_replayed = len(records)
         # re-replayed keys may repeat after an overlapping crash
         # window; last record wins, but count distinct keys
@@ -152,17 +129,9 @@ class RunLog:
     def record_outcome(self, key: str,
                        outcome: AppReport | AppFailure) -> None:
         """Durably checkpoint one finished app (any worker thread)."""
-        if isinstance(outcome, AppFailure):
-            kind, doc = QUARANTINE, outcome.to_dict()
-        else:
-            kind, doc = REPORT, outcome.to_dict()
-        with self._lock:
-            self.journal.append(
-                OUTCOME, {"key": key, "kind": kind, "doc": doc})
-
-    @property
-    def size_bytes(self) -> int:
-        return self.journal.size_bytes
+        kind = QUARANTINE if isinstance(outcome, AppFailure) else REPORT
+        self.journal.append(OUTCOME, {"key": key, "kind": kind,
+                                      "doc": outcome.to_dict()})
 
     def close(self) -> None:
         self.journal.close()
@@ -178,10 +147,6 @@ def open_run_log(
     """
     if resume:
         return RunLog.resume(path, meta)
-    if os.path.exists(path) and replay(path).records:
-        raise RunLogError(
-            f"{path}: journal already exists; pass --resume to "
-            f"continue that run or remove the file")
     return RunLog.fresh(path, meta), {}
 
 

@@ -355,10 +355,6 @@ class ServiceMetrics:
             "Jobs parked as poison pills after exhausting their "
             "redelivery budget.",
         )
-        self.journal_size = r.gauge(
-            "ppchecker_journal_size_bytes",
-            "Size of the write-ahead job journal file.",
-        )
         self.deadline_shed = r.counter(
             "ppchecker_deadline_shed_total",
             "Jobs shed because their request deadline expired "

@@ -107,14 +107,18 @@ class CheckService:
             "Worker threads currently alive.",
             callback=lambda: self.pool.alive,
         )
+        self.metrics.registry.gauge(
+            "ppchecker_journal_size_bytes",
+            "On-disk size of the write-ahead job journal (database "
+            "plus -wal).",
+            callback=lambda: self.log.size_bytes if self.log else 0,
+        )
         self.pool.start()
 
     # -- durability --------------------------------------------------------
 
-    def _on_journal_append(self, record_type: str,
-                           nbytes: int) -> None:
+    def _on_journal_append(self, record_type: str) -> None:
         self.metrics.journal_records.inc(type=record_type)
-        self.metrics.journal_size.inc(nbytes)
 
     def _recover(self) -> None:
         """Replay the job journal: re-queue unfinished jobs, park
@@ -158,9 +162,6 @@ class CheckService:
                 break
             self.index.restore(job)
             self.metrics.jobs_recovered.inc()
-        # the exact file size, correcting for replayed records the
-        # per-append listener never saw
-        self.metrics.journal_size.set(self.log.size_bytes)
 
     def deadletter(self, job_id: str) -> dict | None:
         with self._deadletter_lock:

@@ -127,6 +127,35 @@ class TestBatchCheck:
             assert stats[stage]["cache_hits"] == 1
 
 
+class TestBadBundleFile:
+    """A broken input is a typed exit 2 with one ``error:`` line --
+    never a traceback, and never exit 1, which --fail-on-findings
+    reserves for flagged apps."""
+
+    @pytest.mark.parametrize("command", ["check", "batch-check"])
+    @pytest.mark.parametrize("content,reason", [
+        (None, "No such file"),
+        ("{not json", "not JSON"),
+        ('{"package": 3}', "not a bundle document"),
+    ], ids=["missing", "not-json", "not-a-bundle"])
+    def test_exits_2_with_one_error_line(self, command, content,
+                                         reason, clean_bundle_path,
+                                         tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        if content is not None:
+            path.write_text(content)
+        args = [command, str(path), "--fail-on-findings"]
+        if command == "batch-check":
+            args.insert(1, clean_bundle_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {path}: {reason}")
+
+
 class TestStudy:
     def test_small_study_runs(self, capsys, tmp_path):
         out_json = str(tmp_path / "study.json")

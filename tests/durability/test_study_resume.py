@@ -183,7 +183,7 @@ class TestCrashResumeE2E:
                          "--workers", "1"], env)
         assert first.returncode == CRASH_EXIT_CODE
         assert not os.path.exists(out)  # died before the report
-        committed = replay(journal).records
+        committed = replay(journal)
         # the meta record plus every app finished before the crash
         assert committed[0]["type"] == "meta"
         assert 1 <= len(committed) - 1 < N_APPS
@@ -217,7 +217,7 @@ class TestCrashResumeE2E:
         try:
             deadline = time.monotonic() + 120
             while True:
-                committed = replay(journal).records
+                committed = replay(journal)
                 if len(committed) >= 3:  # meta + >= 2 outcomes
                     break
                 if time.monotonic() > deadline:

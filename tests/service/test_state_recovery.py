@@ -142,7 +142,11 @@ class TestInProcessRestart:
             assert final_b["report"]["package"] == "com.example.b"
             text = client.metrics_text()
             assert "ppchecker_jobs_recovered_total 2" in text
-            assert "ppchecker_journal_size_bytes" in text
+            # read at scrape time from disk: the database plus -wal
+            journal = str(tmp_path / ServiceLog.FILENAME)
+            on_disk = os.path.getsize(journal) + os.path.getsize(
+                journal + "-wal")
+            assert f"ppchecker_journal_size_bytes {on_disk}\n" in text
         finally:
             second.close(deadline=5.0)
 
