@@ -69,19 +69,17 @@ Subcommands::
             [--max-retries N] [--stage-timeout SECONDS]
             [--fault-plan PATH] [--deadline SECONDS]
             [--retry-budget TOKENS] [--retry-budget-refill PER_SECOND]
-            [--shards N] [--hedge | --no-hedge] [--hedge-delay SECONDS]
-            [--breaker-failures N] [--breaker-latency SECONDS]
-            [--breaker-cooloff SECONDS]
+            [--shards N]
         Run the long-running check service: a REST API over a shared,
         warm pipeline with a bounded job queue, request coalescing,
         and /healthz + /metrics endpoints (see docs/API.md).  With
         --state-dir, accepted jobs are journaled and replayed across
         restarts; jobs that crash the process more than
         --max-redeliveries times are dead-lettered
-        (GET /v1/deadletter).  The flags before --shards are one
+        (GET /v1/deadletter).  The flags other than --shards are one
         ServiceConfig (service_config / serve_flags below); --shards N
-        runs N shards of that service behind a routing front, which
-        alone reads --hedge* and --breaker-*.
+        runs N shards of that service behind a front that routes each
+        request to its owner on a consistent-hash ring.
 
 ``repro --version`` prints the package version.
 """
@@ -475,17 +473,18 @@ def cmd_genpolicy(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     config = service_config(args)
     if args.shards > 0:
-        from repro.service.cluster import ClusterConfig, serve_cluster
+        from repro.service.cluster import (
+            ClusterConfig,
+            ShardStartError,
+            serve_cluster,
+        )
 
-        return serve_cluster(ClusterConfig(
-            service=config,
-            shards=args.shards,
-            hedge=args.hedge,
-            hedge_delay=args.hedge_delay,
-            breaker_failures=args.breaker_failures,
-            breaker_latency=args.breaker_latency,
-            breaker_cooloff=args.breaker_cooloff,
-        ))
+        try:
+            return serve_cluster(ClusterConfig(service=config,
+                                               shards=args.shards))
+        except ShardStartError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     from repro.durability.journal import JournalError
     from repro.service.server import serve
 
@@ -761,33 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="completed jobs kept resolvable by id and "
                           "content hash, per process (default: 256)")
-    srv.add_argument("--hedge", default=True,
-                     action=argparse.BooleanOptionalAction,
-                     help="with --shards: race a slow /v1/check "
-                          "primary against a healthy peer after the "
-                          "hedge delay; content-addressed checks are "
-                          "idempotent, so the first answer wins "
-                          "(default: on)")
-    srv.add_argument("--hedge-delay", type=float, default=1.0,
-                     metavar="SECONDS",
-                     help="cold-start hedge delay; adapts to the "
-                          "observed p95 check latency once enough "
-                          "samples arrive (default: 1.0)")
-    srv.add_argument("--breaker-failures", type=int, default=5,
-                     metavar="N",
-                     help="consecutive failed (or brownout-slow) "
-                          "requests that open a shard's circuit "
-                          "breaker at the front (default: 5)")
-    srv.add_argument("--breaker-latency", type=float, default=None,
-                     metavar="SECONDS",
-                     help="treat a slower-than-this success as a "
-                          "brownout failure for the breaker "
-                          "(default: latency never trips it)")
-    srv.add_argument("--breaker-cooloff", type=float, default=5.0,
-                     metavar="SECONDS",
-                     help="seconds an open breaker waits before "
-                          "admitting a single half-open probe "
-                          "(default: 5.0)")
     add_cache_dir(srv)
     add_resilience(srv)
     srv.set_defaults(func=cmd_serve)

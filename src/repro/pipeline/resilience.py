@@ -290,12 +290,12 @@ class RetryBudget:
     """A thread-safe token bucket bounding how many retries a whole
     process may issue.
 
-    Every retry (and, at the cluster front, every reroute or hedge)
-    must :meth:`try_acquire` a token first; a dry bucket denies the
-    retry outright, so a browned-out dependency sees load *shrink*
-    instead of multiplying.  Refill is continuous at ``refill_rate``
-    tokens per second up to ``capacity``.  The clock is injectable so
-    the property suite can drive it deterministically.
+    Every retry (and, at the cluster front, every reroute) must
+    :meth:`try_acquire` a token first; a dry bucket denies the retry
+    outright, so a browned-out dependency sees load *shrink* instead
+    of multiplying.  Refill is continuous at ``refill_rate`` tokens
+    per second up to ``capacity``.  The clock is injectable so the
+    property suite can drive it deterministically.
     """
 
     def __init__(self, capacity: float = 10.0,

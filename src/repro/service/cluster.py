@@ -30,7 +30,6 @@ cache hit in one worker process is a hit in all -- and in every later
 from __future__ import annotations
 
 import os
-import queue
 import re
 import signal
 import subprocess
@@ -47,9 +46,8 @@ from repro.cli import serve_flags
 from repro.core.schema import versioned
 from repro.hashing import fingerprint
 from repro.pipeline.resilience import Deadline, RetryBudget
-from repro.service.breaker import CLOSED, CircuitBreaker, LatencyTracker
 from repro.service.hashring import HashRing, shard_name
-from repro.service.metrics import CallbackGaugeFamily, MetricsRegistry
+from repro.service.metrics import MetricsRegistry
 from repro.service.runner import ServiceConfig, shed_error
 from repro.service.server import (
     Listener,
@@ -77,9 +75,8 @@ class ClusterConfig:
 
     The front listens on ``service.host``/``service.port`` and takes
     its timeouts, ``state_dir`` and retry budget from ``service``.
-    Shard *i* runs ``service`` with an ephemeral port, its journal in
-    ``<state_dir>/shard-<i>``, and its ``shard_fault_plans`` entry as
-    its fault plan, if it has one.
+    Shard *i* runs ``service`` with an ephemeral port and its journal
+    in ``<state_dir>/shard-<i>``.
     """
 
     #: the service every shard runs (``workers``, ``queue_size`` and
@@ -90,24 +87,11 @@ class ClusterConfig:
     #: how long the front waits for a respawning shard before failing
     #: a request over to the client
     reroute_timeout: float = 30.0
-    #: per-shard fault plan paths (``{shard index: path}``); a listed
-    #: shard gets its own plan instead of ``service.checker``'s -- how
-    #: the brownout chaos harness browns out exactly one shard of N
-    shard_fault_plans: dict[int, str] = field(default_factory=dict)
-    #: hedge idempotent ``/v1/check`` submissions: race a second shard
-    #: when the primary is slower than the p95-derived hedge delay
-    hedge: bool = True
-    #: hedge delay (seconds) used until the front's latency window
-    #: has enough samples to derive a p95
-    hedge_delay: float = 1.0
-    #: consecutive failures (or brownout-slow successes) that open a
-    #: shard's circuit breaker
-    breaker_failures: int = 5
-    #: a shard success slower than this (seconds) counts as a breaker
-    #: failure -- the brownout signal; None disables latency tripping
-    breaker_latency: float | None = None
-    #: how long an open breaker cools off before its half-open probe
-    breaker_cooloff: float = 5.0
+
+
+class ShardStartError(RuntimeError):
+    """A shard process exited (or stayed silent) before publishing
+    its port; the message quotes the last line it wrote to stderr."""
 
 
 class ShardProcess:
@@ -118,15 +102,14 @@ class ShardProcess:
         self.index = index
         self.name = shard_name(index)
         self.port_file = os.path.join(run_dir, f"{self.name}.port")
+        #: where the process's stderr goes (rewritten on every spawn)
+        self.stderr_file = os.path.join(run_dir, f"{self.name}.stderr")
         service = config.service
-        fault_plan = config.shard_fault_plans.get(
-            index, service.checker.fault_plan)
         #: the service this shard runs
         self.service = replace(
             service, port=0, port_file=self.port_file,
             state_dir=(os.path.join(service.state_dir, self.name)
-                       if service.state_dir is not None else None),
-            checker=replace(service.checker, fault_plan=fault_plan))
+                       if service.state_dir is not None else None))
         self.port: int | None = None
         self.process: subprocess.Popen | None = None
         self.restarts = 0
@@ -136,7 +119,11 @@ class ShardProcess:
                 *serve_flags(self.service)]
 
     def spawn(self, timeout: float = 60.0) -> None:
-        """Start (or restart) the subprocess and wait for its port."""
+        """Start (or restart) the subprocess and wait for its port.
+
+        Raises :class:`ShardStartError` as soon as the process exits
+        without publishing one, or after *timeout* seconds of silence
+        (the process is killed then)."""
         if os.path.exists(self.port_file):
             os.unlink(self.port_file)
         env = dict(os.environ)
@@ -145,10 +132,28 @@ class ShardProcess:
         env["PYTHONPATH"] = src + (
             os.pathsep + env["PYTHONPATH"]
             if env.get("PYTHONPATH") else "")
-        self.process = subprocess.Popen(
-            self.command(), env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        self.port = read_port_file(self.port_file, timeout=timeout)
+        with open(self.stderr_file, "wb") as stderr:
+            self.process = subprocess.Popen(
+                self.command(), env=env,
+                stdout=subprocess.DEVNULL, stderr=stderr)
+        try:
+            self.port = read_port_file(self.port_file, timeout=timeout,
+                                       process=self.process)
+        except (ChildProcessError, TimeoutError) as exc:
+            self.process.kill()
+            self.process.wait()
+            raise ShardStartError(
+                f"{self.name} did not start ({exc}); its last stderr "
+                f"line: {self.last_stderr_line()!r}") from None
+
+    def last_stderr_line(self) -> str:
+        try:
+            with open(self.stderr_file, encoding="utf-8",
+                      errors="replace") as handle:
+                lines = [line.strip() for line in handle]
+        except OSError:
+            return ""
+        return next((line for line in reversed(lines) if line), "")
 
     @property
     def alive(self) -> bool:
@@ -203,6 +208,8 @@ class ShardSupervisor:
             name="ppchecker-shard-supervisor")
 
     def start(self) -> None:
+        """Spawn every shard and start the monitor; raises
+        :class:`ShardStartError` when a shard fails to come up."""
         for shard in self.shards:
             shard.spawn()
             self.ring.add(shard.name)
@@ -219,7 +226,7 @@ class ShardSupervisor:
                     self.ring.remove(shard.name)
                 try:
                     shard.spawn()
-                except (OSError, TimeoutError):
+                except (OSError, ShardStartError):
                     # spawn failed; the next poll tries again
                     continue
                 shard.restarts += 1
@@ -239,18 +246,6 @@ class ShardSupervisor:
                 return None
         return self.shards[int(name.split("-", 1)[1])]
 
-    def route_preference(self, key: str) -> list[ShardProcess]:
-        """Every live shard in deterministic failover order for
-        *key* (``[0]`` is the ring owner) -- what breaker-aware
-        routing and hedging walk."""
-        with self._lock:
-            try:
-                names = self.ring.preference(key)
-            except LookupError:
-                return []
-        return [self.shards[int(name.split("-", 1)[1])]
-                for name in names]
-
     def shard(self, index: int) -> ShardProcess | None:
         if 0 <= index < len(self.shards):
             return self.shards[index]
@@ -265,7 +260,8 @@ class ShardSupervisor:
         join, and stop the monitor so nothing is respawned.  True
         when every shard exited without being killed."""
         self._stop.set()
-        self._thread.join(5.0)
+        if self._thread.ident is not None:
+            self._thread.join(5.0)
         for shard in self.shards:
             shard.terminate()
         deadline = self.config.service.drain_timeout + 10.0
@@ -308,42 +304,18 @@ class FrontMetrics:
             "Shard processes currently alive.",
             callback=supervisor_alive,
         )
-        self.hedges = r.counter(
-            "ppchecker_hedges_total",
-            "Hedged /v1/check submissions, by outcome (primary_won "
-            "| hedge_won | suppressed -- the retry budget was dry).",
-            ("outcome",),
-        )
-        self.breaker_transitions = r.counter(
-            "ppchecker_breaker_transitions_total",
-            "Circuit-breaker state changes, by shard and new state.",
-            ("shard", "to"),
-        )
         self.deadline_shed = r.counter(
             "ppchecker_deadline_shed_total",
             "Requests shed at the front because their deadline "
             "expired before any shard could take the work.",
         )
 
-    def register_breakers(self, breakers) -> None:
-        """Expose live breaker states as
-        ``ppchecker_breaker_state{shard=...}`` (0 closed / 1
-        half-open / 2 open); *breakers* is ``{shard name: breaker}``."""
-        self.registry.register(CallbackGaugeFamily(
-            "ppchecker_breaker_state",
-            "Per-shard circuit-breaker state "
-            "(0 closed, 1 half-open, 2 open).",
-            "shard",
-            lambda: {name: float(b.state_code)
-                     for name, b in breakers.items()},
-        ))
-
     def register_retry_budget(self, budget) -> None:
-        """Expose the front's shared retry/hedge token bucket."""
+        """Expose the front's shared retry token bucket."""
         self.registry.gauge(
             "ppchecker_retry_budget_remaining",
             "Tokens left in the front's retry budget; reroute "
-            "retries and hedges are denied when it reaches zero.",
+            "retries are denied when it reaches zero.",
             callback=lambda: budget.remaining,
         )
 
@@ -525,27 +497,10 @@ class ClusterFront:
         self.metrics = metrics
         self._draining = threading.Event()
         #: kept connections to the shards, shared by every handler
-        #: and hedge thread
+        #: and batch fan-out thread
         self.pool = ConnectionPool(config.service.request_timeout)
-        #: one breaker per shard, fed from every proxied request;
-        #: open breakers divert traffic to the next ring owner
-        self.breakers = {
-            shard.name: CircuitBreaker(
-                failure_threshold=config.breaker_failures,
-                latency_threshold=config.breaker_latency,
-                open_seconds=config.breaker_cooloff,
-                on_transition=(
-                    lambda state, name=shard.name:
-                    metrics.breaker_transitions.inc(shard=name,
-                                                    to=state)),
-            )
-            for shard in supervisor.shards
-        }
-        metrics.register_breakers(self.breakers)
-        #: /v1/check latency window; its p95 is the hedge delay
-        self.latency = LatencyTracker(default_delay=config.hedge_delay)
-        #: shared token bucket bounding reroute retries and hedges,
-        #: so a brownout cannot amplify into a front-side storm
+        #: shared token bucket bounding reroute retries, so a cluster
+        #: in trouble cannot amplify into a front-side storm
         checker = config.service.checker
         self.retry_budget = (
             RetryBudget(checker.retry_budget,
@@ -573,26 +528,18 @@ class ClusterFront:
         retried until it -- or its replacement on the same ring
         position -- answers, bounded by ``reroute_timeout``, the
         request's remaining *deadline*, and (when configured) the
-        front's retry budget.  Every outcome feeds the shard's
-        breaker: connection failures and 5xx answers count against
-        it, fast answers reset it, and -- with ``breaker_latency``
-        set -- slow answers count as brownout failures even though
-        the response is still used."""
+        front's retry budget."""
         reroute_until = time.monotonic() + self.config.reroute_timeout
-        breaker = self.breakers.get(shard.name)
         attempt = 0
         while True:
             if deadline is not None and deadline.expired:
                 raise FrontDeadlineExpired(deadline)
-            started = time.monotonic()
             try:
                 status, headers, payload = self._request(
                     shard, method, path, doc, deadline=deadline)
             except (OSError, HTTPException):
                 # connection refused (respawning), reset, or torn
                 # mid-response (the shard died while answering)
-                if breaker is not None:
-                    breaker.record_failure()
                 attempt += 1
                 if attempt > 1:
                     self.metrics.reroutes.inc(shard=shard.name)
@@ -605,13 +552,6 @@ class ClusterFront:
                     raise ShardUnavailable(shard.name)
                 time.sleep(0.2)
                 continue
-            if breaker is not None:
-                # 504 is a deadline shed -- the shard doing its job,
-                # not the shard failing
-                if status >= 500 and status != 504:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success(time.monotonic() - started)
             return status, headers, payload
 
     def _request(self, shard: ShardProcess, method: str, path: str,
@@ -629,38 +569,23 @@ class ClusterFront:
         return self.pool.request(self.config.service.host, shard.port,
                                  method, path, doc, headers)
 
-    def _pick_shard(self, key: str) -> ShardProcess | None:
-        """The first live shard in *key*'s failover order whose
-        breaker admits the request.
-
-        A closed breaker is consulted without side effects; an open
-        one past its cool-off admits this request as the half-open
-        probe.  When every live breaker refuses, the ring owner is
-        used anyway -- breakers shift load onto healthy shards, they
-        never turn a brownout into an outage."""
-        preference = self.supervisor.route_preference(key)
-        for shard in preference:
-            breaker = self.breakers.get(shard.name)
-            if breaker is None or breaker.allow():
-                return shard
-        return preference[0] if preference else None
-
     def submit_to_shard(self, doc: Any, path: str,
                         deadline: Deadline | None = None,
                         ) -> tuple[ShardProcess, int,
                                    dict[str, str], Any]:
-        """Route one bundle document by content hash and forward it.
+        """Route one bundle document by content hash to its ring
+        owner and forward it.
 
         The routing key is the canonical fingerprint of the raw JSON
         document -- cheap (no bundle parsing in the accept process)
         and deterministic, so identical documents always reach the
-        same shard and coalesce there.  Routing walks the key's
-        failover order past open breakers; idempotent ``/v1/check``
-        submissions are additionally hedged."""
+        same shard and coalesce there.  While no shard is alive the
+        front waits (bounded by ``reroute_timeout`` and *deadline*)
+        for the supervisor to respawn one."""
         key = _routing_key(doc)
         wait_until = time.monotonic() + self.config.reroute_timeout
         while True:
-            shard = self._pick_shard(key)
+            shard = self.supervisor.route(key)
             if shard is not None:
                 break
             if deadline is not None and deadline.expired:
@@ -669,97 +594,8 @@ class ClusterFront:
                 raise ShardUnavailable(key)
             time.sleep(0.2)
         self.metrics.routed.inc(shard=shard.name)
-        if path == "/v1/check" and self.config.hedge:
-            return self._check_hedged(key, shard, doc, deadline)
         status, headers, payload = self.proxy(shard, "POST", path,
                                               doc, deadline=deadline)
-        return shard, status, headers, payload
-
-    def _hedge_peer(self, key: str,
-                    primary: ShardProcess) -> ShardProcess | None:
-        """The shard a hedged check races against *primary*: the
-        next shard in the key's failover order whose breaker is
-        fully closed.  Half-open shards are skipped -- a hedge must
-        never consume the single probe slot of a recovering shard."""
-        for shard in self.supervisor.route_preference(key):
-            if shard.name == primary.name:
-                continue
-            breaker = self.breakers.get(shard.name)
-            if breaker is None or breaker.state == CLOSED:
-                return shard
-        return None
-
-    def _check_hedged(self, key: str, primary: ShardProcess,
-                      doc: Any, deadline: Deadline | None,
-                      ) -> tuple[ShardProcess, int,
-                                 dict[str, str], Any]:
-        """``POST /v1/check`` with a hedge: when the primary has not
-        answered within the p95-derived hedge delay, race the same
-        request against a second shard and return whichever answers
-        first.
-
-        This is safe precisely because checks are content-addressed
-        and idempotent: both shards compute (or coalesce onto) the
-        same report for the same fingerprint, so the two answers are
-        byte-identical and the loser's work warms the shared
-        artifact store instead of being wasted.  Non-idempotent
-        paths (``/v1/jobs`` creates client-visible job ids) are
-        never hedged."""
-        answers: queue.Queue = queue.Queue()
-
-        def fire(shard: ShardProcess, who: str) -> None:
-            try:
-                out = self.proxy(shard, "POST", "/v1/check", doc,
-                                 deadline=deadline)
-            except (ShardUnavailable, FrontDeadlineExpired):
-                out = None
-            answers.put((who, shard, out))
-
-        started = time.monotonic()
-        threading.Thread(target=fire, args=(primary, "primary"),
-                         daemon=True,
-                         name="ppchecker-check-primary").start()
-        first = None
-        try:
-            first = answers.get(timeout=self.latency.hedge_delay())
-        except queue.Empty:
-            pass
-
-        winner = first if first is not None and first[2] is not None \
-            else None
-        hedged = False
-        if winner is None:
-            # the primary is slow (or already failed): race a hedge
-            # if a healthy peer exists and the budget allows
-            peer = self._hedge_peer(key, primary)
-            if peer is not None:
-                if (self.retry_budget is not None
-                        and not self.retry_budget.try_acquire()):
-                    self.metrics.hedges.inc(outcome="suppressed")
-                else:
-                    hedged = True
-                    self.metrics.routed.inc(shard=peer.name)
-                    threading.Thread(
-                        target=fire, args=(peer, "hedge"),
-                        daemon=True,
-                        name="ppchecker-check-hedge").start()
-            received = 1 if first is not None else 0
-            expected = 2 if hedged else 1
-            while winner is None and received < expected:
-                item = answers.get()
-                received += 1
-                if item[2] is not None:
-                    winner = item
-        if winner is None:
-            if deadline is not None and deadline.expired:
-                raise FrontDeadlineExpired(deadline)
-            raise ShardUnavailable(key)
-        who, shard, (status, headers, payload) = winner
-        if hedged:
-            self.metrics.hedges.inc(
-                outcome="hedge_won" if who == "hedge"
-                else "primary_won")
-        self.latency.note(time.monotonic() - started)
         return shard, status, headers, payload
 
     # -- aggregated endpoints ----------------------------------------------
@@ -812,12 +648,11 @@ class ClusterFront:
         groups: dict[int, list[int]] = {}
         unrouted: list[int] = []
         for position, bundle_doc in enumerate(bundles):
-            # deadline-blind key + breaker-aware pick: a browned-out
-            # shard's documents fail over to the next ring owner.
-            # Per-document deadlines travel inline (the reserved
-            # ``deadline_s`` field); the shard pops them before
-            # parsing, so they never reach its fingerprints either.
-            shard = self._pick_shard(_routing_key(bundle_doc))
+            # deadline-blind key: per-document deadlines travel
+            # inline (the reserved ``deadline_s`` field); the shard
+            # pops them before parsing, so they never reach its
+            # fingerprints either.
+            shard = self.supervisor.route(_routing_key(bundle_doc))
             if shard is None:
                 unrouted.append(position)
                 continue
@@ -902,7 +737,13 @@ def start_cluster(config: ClusterConfig) -> ClusterHandle:
     supervisor = ShardSupervisor(config, run_dir, metrics)
     cell.append(supervisor)
     front = ClusterFront(config, supervisor, metrics)
-    supervisor.start()
+    try:
+        supervisor.start()
+    except BaseException:
+        # a shard that failed to come up takes the ones already
+        # started down with it: nothing is left running
+        supervisor.stop()
+        raise
     return ClusterHandle(front, supervisor)
 
 
@@ -923,6 +764,7 @@ __all__ = [
     "FrontDeadlineExpired",
     "FrontMetrics",
     "ShardProcess",
+    "ShardStartError",
     "ShardSupervisor",
     "ShardUnavailable",
     "serve_cluster",

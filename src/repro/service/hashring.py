@@ -115,28 +115,6 @@ class HashRing:
             index = 0
         return self._owners[index]
 
-    def preference(self, key: str) -> list[str]:
-        """Every shard in ring order starting at *key*'s owner.
-
-        ``preference(key)[0] == place(key)``; the rest are the
-        distinct owners met walking the ring clockwise from the key's
-        position.  This is the failover order the cluster front uses
-        when a breaker has the primary open, and the source of the
-        hedge shard: every front process computes the same list, so
-        a key's first fallback is as deterministic as its owner.
-        """
-        if not self._points:
-            raise LookupError("hash ring is empty")
-        start = bisect.bisect_right(self._points, stable_hash(key))
-        seen: list[str] = []
-        for offset in range(len(self._points)):
-            owner = self._owners[(start + offset) % len(self._points)]
-            if owner not in seen:
-                seen.append(owner)
-                if len(seen) == len(self._shards):
-                    break
-        return seen
-
     def place_many(self, keys: Sequence[str]) -> dict[str, str]:
         """``{key: shard}`` for every key (one binary search each)."""
         return {key: self.place(key) for key in keys}

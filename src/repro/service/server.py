@@ -28,7 +28,7 @@ import signal
 import tempfile
 import threading
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import __version__
 from repro.android.serialization import bundle_from_dict, bundle_to_dict
@@ -53,6 +53,9 @@ from repro.service.transport import (
     KeepAliveHTTPServer,
     batch_answer,
 )
+
+if TYPE_CHECKING:
+    import subprocess
 
 
 class InvalidBundle(ValueError):
@@ -566,10 +569,15 @@ def _write_port_file(path: str, port: int) -> None:
         raise
 
 
-def read_port_file(path: str, timeout: float = 30.0) -> int:
+def read_port_file(path: str, timeout: float = 30.0,
+                   process: subprocess.Popen | None = None) -> int:
     """Poll *path* until a serving process publishes its bound port
     (the reader half of ``--port-file``; supervisors and tests use
-    this instead of the racy probe-a-port-then-release dance)."""
+    this instead of the racy probe-a-port-then-release dance).
+
+    With *process* (the publisher), stop waiting as soon as it exits:
+    raises :class:`ChildProcessError` instead of waiting out
+    *timeout*."""
     end = time.monotonic() + timeout
     while True:
         try:
@@ -579,6 +587,10 @@ def read_port_file(path: str, timeout: float = 30.0) -> int:
                 return int(text)
         except (OSError, ValueError):
             pass
+        if process is not None and process.poll() is not None:
+            raise ChildProcessError(
+                f"exited with status {process.returncode} before "
+                f"publishing a port at {path}")
         if time.monotonic() > end:
             raise TimeoutError(f"no port published at {path}")
         time.sleep(0.05)

@@ -3,7 +3,7 @@
 Client side: one connection per client thread, a stale reused
 connection retried exactly once, a refused fresh one never retried,
 and the front's shard pool riding out a respawn without touching the
-breaker, the reroute counter or the retry budget.  Server side:
+reroute counter or the retry budget.  Server side:
 Nagle off (no delayed-ACK stall on kept connections), idle and drain
 closes, nothing served on a kept connection after ``close()``, and no
 tracebacks for peers that hang up.
@@ -27,7 +27,6 @@ from repro.service import (
     start_service,
     transport,
 )
-from repro.service.breaker import CLOSED
 from repro.service.cluster import (
     ClusterConfig,
     ClusterFront,
@@ -282,15 +281,14 @@ class TestFrontPool:
             second.close(deadline=5.0)
             front.pool.close()
 
-    def test_stale_retry_costs_no_breaker_reroute_or_budget(self):
+    def test_stale_retry_costs_no_reroute_or_budget(self):
         first = start_service(ServiceConfig(port=0, workers=1))
         port = first.port
-        front = front_over([port], breaker_failures=1,
+        front = front_over([port],
                            service=ServiceConfig(checker=CheckerOptions(
                                retry_budget=3.0,
                                retry_budget_refill=0.0)))
         shard = front.supervisor.shards[0]
-        breaker = front.breakers[shard.name]
         try:
             assert front.proxy(shard, "GET", "/healthz")[0] == 200
         finally:
@@ -301,8 +299,6 @@ class TestFrontPool:
             assert len(front.pool._idle[("127.0.0.1", port)]) == 1
             status, _, payload = front.proxy(shard, "GET", "/healthz")
             assert status == 200 and payload["status"] == "ok"
-            assert breaker.state == CLOSED
-            assert front.metrics.breaker_transitions.total() == 0
             assert front.metrics.reroutes.total() == 0
             assert front.retry_budget.remaining == 3.0
         finally:
