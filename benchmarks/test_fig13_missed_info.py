@@ -37,11 +37,11 @@ def test_fig13(benchmark, store, checker, study):
         print(f"{info.value:<18} {count:>8}")
     print(f"{'total':<18} {sum(dist.values()):>8}   (paper: 234)")
     print(f"{'retained':<18} {retained:>8}   (paper: 32)")
-    print(f"flagged {len(study.incomplete_code_apps())} apps "
+    print(f"flagged {study.flagged()['incomplete_via_code']} apps "
           f"(paper 195), verified {tp} (paper 180), "
           f"false positives {fp} (paper 15)")
 
-    assert len(study.incomplete_code_apps()) == 195
+    assert study.flagged()["incomplete_via_code"] == 195
     assert (tp, fp) == (180, 15)
     assert sum(dist.values()) == 234
     assert retained == 32

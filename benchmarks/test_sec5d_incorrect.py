@@ -30,9 +30,11 @@ def test_sec5d_incorrect(benchmark, store, checker, study):
 
     benchmark(run_incorrect_detector)
 
-    tp, fp = study.incorrect_confusion()
-    via_desc = len(study.incorrect_apps("description"))
-    via_code = len(study.incorrect_apps("code"))
+    flagged = study.flagged()
+    tp = study.summary()["incorrect_apps"]
+    fp = flagged["incorrect"] - tp
+    via_desc = flagged["incorrect_via_description"]
+    via_code = flagged["incorrect_via_code"]
 
     print("\nSection V-D -- incorrect privacy policies")
     print(f"{'metric':<28} {'paper':>6} {'measured':>9}")

@@ -47,7 +47,7 @@ def test_table3(benchmark, store, checker, study):
     for permission, paper_count in PAPER_TABLE3.items():
         print(f"{permission:<50} {paper_count:>6} "
               f"{table.get(permission, 0):>9}")
-    total = len(study.incomplete_desc_apps())
+    total = study.flagged()["incomplete_via_description"]
     print(f"{'total questionable apps':<50} {64:>6} {total:>9}")
 
     assert table == PAPER_TABLE3

@@ -60,7 +60,7 @@ def test_table4(benchmark, store, checker, study):
               f"{row.precision:>7.3f} {row.recall:>7.3f} "
               f"{row.f1:>7.3f}")
     print(f"questionable apps: paper 75, measured "
-          f"{len(study.inconsistent_true_apps())}")
+          f"{study.summary()['inconsistent_apps']}")
 
     cur = rows["collect_use_retain"]
     assert (cur.tp, cur.fp) == (41, 5)
@@ -70,7 +70,7 @@ def test_table4(benchmark, store, checker, study):
     assert (disclose.tp, disclose.fp) == (39, 4)
     assert disclose.precision == pytest.approx(0.907, abs=0.001)
     assert disclose.recall == pytest.approx(0.923, abs=0.02)
-    assert len(study.inconsistent_true_apps()) == 75
+    assert study.summary()["inconsistent_apps"] == 75
 
 
 def test_confidence_intervals(benchmark, study):

@@ -271,11 +271,10 @@ def cmd_batch_check(args: argparse.Namespace) -> int:
 
 
 def _print_study_tables(result) -> None:
-    """The ``== study ==`` tables; *result* is a
-    :class:`~repro.core.study.StudyResult` or
-    :class:`~repro.core.study.StudyAggregate` (same accessors).
-    Ties sort deterministically so streaming, materialized, and
-    merged runs print byte-identical tables."""
+    """The ``== study ==`` tables of a
+    :class:`~repro.core.study.StudyAggregate`.  Ties sort
+    deterministically so streaming, sharded, and merged runs print
+    byte-identical tables."""
     print("== study summary ==")
     for key, value in result.summary().items():
         if isinstance(value, float):
@@ -345,7 +344,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     sinks = []
     reports = None
     if args.html:
-        reports = ReportSink(spec)
+        reports = ReportSink()
         sinks.append(reports)
     writer = None
     if args.out is not None:
@@ -389,7 +388,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     if reports is not None:
         from repro.core.html_report import write_study_html
 
-        write_study_html(reports.result, args.html)
+        write_study_html(reports.result(result), args.html)
         print(f"\nwrote {args.html}")
     if args.json:
         _write_study_json(result, args.json)

@@ -4,7 +4,9 @@ Turns a :class:`repro.core.study.StudyResult` into a single
 self-contained HTML page -- the artifact a market operator would hand
 to a review team: the summary cards, Table III, the Fig. 13
 distribution as CSS bars, Table IV, and the top of the screening
-worklist.  No external assets, no JavaScript dependencies.
+worklist.  Ties sort by name, as in the CLI tables, so the page is the
+same bytes for any ``PYTHONHASHSEED``.  No external assets, no
+JavaScript dependencies.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _table3(result: StudyResult) -> str:
     rows = "".join(
         f"<tr><td>{_esc(permission)}</td><td>{count}</td></tr>"
         for permission, count in sorted(result.table3().items(),
-                                        key=lambda kv: -kv[1])
+                                        key=lambda kv: (-kv[1], kv[0]))
     )
     return ("<h2>Permissions behind description gaps (Table III)</h2>"
             f"<table><tr><th>permission</th><th>apps</th></tr>"
@@ -88,7 +90,8 @@ def _fig13(result: StudyResult) -> str:
         f"<tr><td>{_esc(info.value)}</td>"
         f'<td><span class="bar" style="width:{count * 220 // peak}px">'
         f"</span> {count}</td></tr>"
-        for info, count in dist.most_common()
+        for info, count in sorted(dist.items(),
+                                  key=lambda kv: (-kv[1], kv[0].value))
     )
     return (
         "<h2>Missed information (Fig. 13)</h2>"

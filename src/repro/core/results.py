@@ -188,25 +188,42 @@ class ShardedResultWriter:
 # ---------------------------------------------------------------------------
 
 
-def _parse_outcome(record: dict[str, Any], path: str,
+def _parse_outcome(record: dict[str, Any], path: str, lineno: int,
                    ) -> tuple[int, str, AppReport | AppFailure]:
-    doc = record["doc"]
-    if record["kind"] == QUARANTINE:
-        outcome: AppReport | AppFailure = AppFailure.from_dict(doc)
-    elif record["kind"] == REPORT:
-        outcome = AppReport.from_dict(doc)
-    else:
+    """One outcome line as ``(index, key, outcome)``; a line that does
+    not decode raises :class:`ResultShardError` naming *path*:*lineno*."""
+    where = f"{path}:{lineno}"
+    index, key, kind = (record.get("index"), record.get("key"),
+                        record.get("kind"))
+    if type(index) is not int or index < 0:
         raise ResultShardError(
-            f"{path}: unknown outcome kind {record['kind']!r}")
-    return record["index"], record["key"], outcome
+            f"{where}: index {index!r} is not a corpus index")
+    if not isinstance(key, str):
+        raise ResultShardError(
+            f"{where}: key {key!r} is not a package name")
+    if kind not in (QUARANTINE, REPORT):
+        raise ResultShardError(
+            f"{where}: unknown outcome kind {kind!r}")
+    try:
+        outcome: AppReport | AppFailure = (
+            AppFailure.from_dict(record["doc"]) if kind == QUARANTINE
+            else AppReport.from_dict(record["doc"]))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ResultShardError(
+            f"{where}: {kind} record does not decode "
+            f"({type(exc).__name__}: {exc})") from exc
+    return index, key, outcome
 
 
 def iter_shard(path: str) -> Iterator[
         tuple[int, str, AppReport | AppFailure]]:
     """Yield ``(index, key, outcome)`` from one finalized shard,
-    validating header, footer, and record count."""
+    validating header, footer, record count, and the writer's routing:
+    shard *s* of *n* holds only indices ``i % n == s``, ascending."""
     records = 0
     saw_footer = False
+    shard = shards = None
+    last = -1
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
@@ -215,6 +232,9 @@ def iter_shard(path: str) -> Iterator[
                 raise ResultShardError(
                     f"{path}:{lineno}: malformed NDJSON line"
                 ) from exc
+            if not isinstance(record, dict):
+                raise ResultShardError(
+                    f"{path}:{lineno}: record is not a JSON object")
             kind = record.get("type")
             if lineno == 1:
                 if kind != HEADER:
@@ -225,6 +245,12 @@ def iter_shard(path: str) -> Iterator[
                         f"{path}: results_format "
                         f"{record.get('results_format')!r} != "
                         f"{RESULTS_FORMAT}")
+                shard, shards = record.get("shard"), record.get("shards")
+                if type(shard) is not int or type(shards) is not int \
+                        or not 0 <= shard < shards:
+                    raise ResultShardError(
+                        f"{path}: header names shard {shard!r} of "
+                        f"{shards!r}")
                 continue
             if saw_footer:
                 raise ResultShardError(
@@ -241,7 +267,15 @@ def iter_shard(path: str) -> Iterator[
                 raise ResultShardError(
                     f"{path}:{lineno}: unknown record type {kind!r}")
             records += 1
-            yield _parse_outcome(record, path)
+            index, key, outcome = _parse_outcome(record, path, lineno)
+            if index <= last or index % shards != shard:
+                raise ResultShardError(
+                    f"{path}:{lineno}: index {index} is out of place "
+                    f"(shard {shard} of {shards} holds ascending "
+                    f"indices i % {shards} == {shard}; the previous "
+                    f"was {last})")
+            last = index
+            yield index, key, outcome
     if not saw_footer:
         raise ResultShardError(
             f"{path}: no footer -- shard was never finalized")
@@ -276,7 +310,8 @@ def read_meta(out_dir: str) -> dict[str, Any] | None:
                 f"{path}: shard belongs to a different run "
                 f"({header.get('meta')!r} != {meta!r})")
         seen.add(header.get("shard"))
-    if shards_expected is None or seen != set(range(shards_expected)):
+    if type(shards_expected) is not int \
+            or seen != set(range(shards_expected)):
         raise ResultShardError(
             f"{out_dir}: incomplete shard set ({sorted(seen)} of "
             f"{shards_expected} expected)")

@@ -5,9 +5,8 @@ One engine, :func:`run_study_streaming`, derives the apps from a lazy
 :class:`CorpusSpec`, takes their outcomes in index order from one of
 two sources -- this process (inline, or a window of threads) or the
 consistent-hash :class:`ShardPool` of worker processes -- and folds
-them into a constant-size :class:`StudyAggregate`.  :func:`run_study`
-is that engine plus an in-memory sink that keeps every report, for a
-:class:`StudyResult` exposing:
+them into a constant-size :class:`StudyAggregate`, the only code that
+computes the tables:
 
 - Table III: permission -> count of description-incomplete apps,
 - Fig. 13: distribution of missed information (code path),
@@ -15,8 +14,10 @@ is that engine plus an in-memory sink that keeps every report, for a
 - Table IV: inconsistency TP/FP/precision/recall/F1 per sentence row,
 - Section V-F: the summary (apps with at least one problem).
 
-Ground-truth labels come from the corpus plans, so precision and
-recall are exact rather than sampled.
+:func:`run_study` is that engine plus an in-memory sink that keeps
+every report, for a :class:`StudyResult` (the aggregate plus the
+reports).  Ground-truth labels come from the corpus plans, so
+precision and recall are exact rather than sampled.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import resource
 import time
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.core.checker import CheckerOptions, PPChecker
@@ -69,10 +70,191 @@ class RowMetrics:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-class _StudyTables:
-    """Export and paper comparison over the table accessors
-    (``summary``/``table3``/``fig13``/``table4``/``failures``) that
-    :class:`StudyResult` and :class:`StudyAggregate` both provide."""
+#: the paper's published evaluation numbers (Section V).
+PAPER_RESULTS: dict[str, int | float] = {
+    "apps": 1197,
+    "problem_apps": 282,
+    "problem_fraction": 0.236,
+    "incomplete_apps": 222,
+    "incomplete_via_description": 64,
+    "incomplete_via_code": 180,
+    "incorrect_apps": 4,
+    "incorrect_via_description": 2,
+    "incorrect_via_code": 4,
+    "inconsistent_apps": 75,
+}
+
+
+@dataclass
+class StudyAggregate:
+    """Every table of the study, folded one app at a time.
+
+    Holds counters instead of the reports, so its size is independent
+    of the corpus: the study folds a million-app run into the same few
+    hundred bytes as the paper's 1,197.  It is the only code that
+    computes the tables; ``tests/core/study_reference.py`` re-derives
+    them from sets over the reports as the oracle :meth:`fold` is held
+    to.
+    """
+
+    n_apps: int = 0
+    checked: int = 0
+    _table3: Counter[str] = field(default_factory=Counter)
+    _fig13: Counter[InfoType] = field(default_factory=Counter)
+    _fig13_retained: int = 0
+    _code_tp: int = 0
+    _code_fp: int = 0
+    _rows: dict[str, RowMetrics] = field(default_factory=lambda: {
+        "collect_use_retain": RowMetrics(), "disclose": RowMetrics()})
+    _summary: Counter[str] = field(default_factory=Counter)
+    _flagged: Counter[str] = field(default_factory=Counter)
+    #: apps the pipeline could not check (degraded mode): package ->
+    #: the structured failure record; never counted in the tables.
+    failures: dict[str, AppFailure] = field(default_factory=dict)
+    #: per-stage wall time / cache-hit counters of the run; excluded
+    #: from :meth:`to_dict` so table exports stay stable across timing
+    #: noise.
+    stats: PipelineStats | None = field(default=None, repr=False,
+                                        compare=False)
+    #: run telemetry (``peak_rss_kb``, ``apps_per_sec``, ...); like
+    #: ``stats`` it never enters :meth:`to_dict` or equality.
+    telemetry: dict[str, float | int] | None = field(
+        default=None, repr=False, compare=False)
+
+    # -- the fold ----------------------------------------------------------
+
+    def fold(self, plan: AppPlan,
+             outcome: AppReport | AppFailure) -> None:
+        """Account one finished app."""
+        self.n_apps += 1
+        if isinstance(outcome, AppFailure):
+            self.failures[plan.package] = outcome
+            return
+        report = outcome
+        self.checked += 1
+        flagged = self._flagged
+
+        desc_findings = report.incomplete_via("description")
+        for permission in {f.permission for f in desc_findings}:
+            self._table3[permission] += 1
+        if desc_findings:
+            flagged["incomplete_via_description"] += 1
+        desc_tp = bool(desc_findings) and plan.gt_incomplete_desc
+
+        code_findings = report.incomplete_via("code")
+        code_tp = False
+        if code_findings:
+            if plan.gt_incomplete_code:
+                code_tp = True
+                self._code_tp += 1
+                for finding in code_findings:
+                    self._fig13[finding.info] += 1
+                    if finding.retained:
+                        self._fig13_retained += 1
+            else:
+                self._code_fp += 1
+
+        incorrect_via_desc = bool(report.incorrect_via("description"))
+        incorrect_via_code = bool(report.incorrect_via("code"))
+        if report.incorrect:
+            flagged["incorrect"] += 1
+        if incorrect_via_desc:
+            flagged["incorrect_via_description"] += 1
+        if incorrect_via_code:
+            flagged["incorrect_via_code"] += 1
+        incorrect_tp = bool(report.incorrect) and plan.gt_incorrect
+
+        det_cur = any(f.category is not VerbCategory.DISCLOSE
+                      for f in report.inconsistent)
+        det_d = any(f.category is VerbCategory.DISCLOSE
+                    for f in report.inconsistent)
+        for row, detected, truth in (
+            ("collect_use_retain", det_cur, plan.gt_inconsistent_cur),
+            ("disclose", det_d, plan.gt_inconsistent_d),
+        ):
+            metrics = self._rows[row]
+            if detected and truth:
+                metrics.tp += 1
+            elif detected and not truth:
+                metrics.fp += 1
+            elif not detected and truth:
+                metrics.fn += 1
+        inconsistent_tp = (det_cur and plan.gt_inconsistent_cur) or (
+            det_d and plan.gt_inconsistent_d)
+
+        summary = self._summary
+        if desc_tp:
+            summary["incomplete_via_description"] += 1
+        if code_tp:
+            summary["incomplete_via_code"] += 1
+        if desc_tp or code_tp:
+            summary["incomplete_apps"] += 1
+        if incorrect_tp:
+            summary["incorrect_apps"] += 1
+        if incorrect_via_desc and plan.gt_incorrect:
+            summary["incorrect_via_description"] += 1
+        if incorrect_via_code and plan.gt_incorrect:
+            summary["incorrect_via_code"] += 1
+        if inconsistent_tp:
+            summary["inconsistent_apps"] += 1
+        if desc_tp or code_tp or incorrect_tp or inconsistent_tp:
+            summary["problem_apps"] += 1
+
+    # -- the tables ----------------------------------------------------------
+
+    def table3(self) -> dict[str, int]:
+        """Table III: permission -> number of description-incomplete
+        apps."""
+        return dict(self._table3)
+
+    def fig13(self) -> tuple[Counter[InfoType], int]:
+        """Fig. 13: (missed-info distribution, retained records) over
+        the verified code-incomplete apps."""
+        return self._fig13, self._fig13_retained
+
+    def incomplete_code_confusion(self) -> tuple[int, int]:
+        """(true positives, false positives) of the code path."""
+        return self._code_tp, self._code_fp
+
+    def table4(self) -> dict[str, RowMetrics]:
+        """Table IV: inconsistency TP/FP/FN per sentence row."""
+        return self._rows
+
+    def flagged(self) -> dict[str, int]:
+        """Apps each detector flagged, verified or not: Table III's 64
+        questionable apps, the 195 code-path apps behind Fig. 13, and
+        Section V-D's incorrect apps in total and per source.  The
+        verified share of each is in :meth:`summary`."""
+        flagged = self._flagged
+        return {
+            "incomplete_via_description":
+                flagged["incomplete_via_description"],
+            "incomplete_via_code": self._code_tp + self._code_fp,
+            "incorrect": flagged["incorrect"],
+            "incorrect_via_description":
+                flagged["incorrect_via_description"],
+            "incorrect_via_code": flagged["incorrect_via_code"],
+        }
+
+    def summary(self) -> dict[str, int | float]:
+        """Section V-F: verified problem apps, per kind and in total."""
+        problems = self._summary
+        return {
+            "apps": self.n_apps,
+            "problem_apps": problems["problem_apps"],
+            "problem_fraction": problems["problem_apps"] / self.n_apps
+            if self.n_apps else 0.0,
+            "incomplete_apps": problems["incomplete_apps"],
+            "incomplete_via_description":
+                problems["incomplete_via_description"],
+            "incomplete_via_code": problems["incomplete_via_code"],
+            "incorrect_apps": problems["incorrect_apps"],
+            "incorrect_via_description":
+                problems["incorrect_via_description"],
+            "incorrect_via_code": problems["incorrect_via_code"],
+            "inconsistent_apps": problems["inconsistent_apps"],
+            "quarantined_apps": len(self.failures),
+        }
 
     def to_dict(self) -> dict:
         """JSON-serializable rendering of every table and figure."""
@@ -113,332 +295,11 @@ class _StudyTables:
 
 
 @dataclass
-class StudyResult(_StudyTables):
-    """Everything the benches and EXPERIMENTS.md report.
+class StudyResult(StudyAggregate):
+    """A study's tables plus every checked app's report (what
+    :func:`run_study` returns and the HTML dashboard renders)."""
 
-    Its set-based tables are computed straight from the kept reports,
-    independently of :meth:`StudyAggregate.fold` -- the oracle the
-    equivalence suites hold the fold to.
-    """
-
-    n_apps: int
     reports: dict[str, AppReport] = field(default_factory=dict)
-    plans: dict[str, AppPlan] = field(default_factory=dict)
-    #: apps the pipeline could not check (degraded mode): package ->
-    #: the structured failure record; never counted in the tables.
-    failures: dict[str, AppFailure] = field(default_factory=dict)
-    #: per-stage wall time / cache-hit counters of the run (None for
-    #: hand-assembled results); excluded from :meth:`to_dict` so table
-    #: exports stay stable across timing noise.
-    stats: PipelineStats | None = field(default=None, repr=False,
-                                        compare=False)
-    #: run telemetry (``peak_rss_kb``, ``apps_per_sec``, ...); like
-    #: ``stats`` it is timing noise, so it never enters
-    #: :meth:`to_dict` or equality.
-    telemetry: dict[str, float | int] | None = field(
-        default=None, repr=False, compare=False)
-
-    # -- incomplete via description (Table III) ---------------------------
-
-    def incomplete_desc_apps(self) -> set[str]:
-        return {
-            pkg for pkg, r in self.reports.items()
-            if r.incomplete_via("description")
-        }
-
-    def table3(self) -> dict[str, int]:
-        """permission -> number of flagged apps."""
-        counts: Counter[str] = Counter()
-        for report in self.reports.values():
-            for permission in {
-                f.permission for f in report.incomplete_via("description")
-            }:
-                counts[permission] += 1
-        return dict(counts)
-
-    # -- incomplete via code (Fig. 13) --------------------------------------
-
-    def incomplete_code_apps(self) -> set[str]:
-        return {
-            pkg for pkg, r in self.reports.items()
-            if r.incomplete_via("code")
-        }
-
-    def incomplete_code_confusion(self) -> tuple[int, int]:
-        """(true positives, false positives) against ground truth."""
-        tp = fp = 0
-        for pkg in self.incomplete_code_apps():
-            if self.plans[pkg].gt_incomplete_code:
-                tp += 1
-            else:
-                fp += 1
-        return tp, fp
-
-    def fig13(self) -> tuple[Counter[InfoType], int]:
-        """(missed-info distribution, retained records), TP apps only."""
-        counts: Counter[InfoType] = Counter()
-        retained = 0
-        for pkg in self.incomplete_code_apps():
-            if not self.plans[pkg].gt_incomplete_code:
-                continue
-            for finding in self.reports[pkg].incomplete_via("code"):
-                counts[finding.info] += 1
-                if finding.retained:
-                    retained += 1
-        return counts, retained
-
-    # -- incorrect (Section V-D) -----------------------------------------------
-
-    def incorrect_apps(self, source: str | None = None) -> set[str]:
-        return {
-            pkg for pkg, r in self.reports.items()
-            if (r.incorrect if source is None else r.incorrect_via(source))
-        }
-
-    def incorrect_confusion(self) -> tuple[int, int]:
-        tp = fp = 0
-        for pkg in self.incorrect_apps():
-            if self.plans[pkg].gt_incorrect:
-                tp += 1
-            else:
-                fp += 1
-        return tp, fp
-
-    # -- inconsistent (Table IV) --------------------------------------------------
-
-    def _row_membership(self, report: AppReport) -> tuple[bool, bool]:
-        cur = any(
-            f.category is not VerbCategory.DISCLOSE
-            for f in report.inconsistent
-        )
-        disclose = any(
-            f.category is VerbCategory.DISCLOSE
-            for f in report.inconsistent
-        )
-        return cur, disclose
-
-    def table4(self) -> dict[str, RowMetrics]:
-        rows = {"collect_use_retain": RowMetrics(),
-                "disclose": RowMetrics()}
-        for pkg, report in self.reports.items():
-            plan = self.plans[pkg]
-            det_cur, det_d = self._row_membership(report)
-            for row, detected, truth in (
-                ("collect_use_retain", det_cur, plan.gt_inconsistent_cur),
-                ("disclose", det_d, plan.gt_inconsistent_d),
-            ):
-                metrics = rows[row]
-                if detected and truth:
-                    metrics.tp += 1
-                elif detected and not truth:
-                    metrics.fp += 1
-                elif not detected and truth:
-                    metrics.fn += 1
-        return rows
-
-    def inconsistent_true_apps(self) -> set[str]:
-        """Detected AND manually-verified inconsistent apps (the 75)."""
-        out = set()
-        for pkg, report in self.reports.items():
-            if not report.inconsistent:
-                continue
-            plan = self.plans[pkg]
-            det_cur, det_d = self._row_membership(report)
-            if (det_cur and plan.gt_inconsistent_cur) or (
-                det_d and plan.gt_inconsistent_d
-            ):
-                out.add(pkg)
-        return out
-
-    # -- summary (Section V-F) ---------------------------------------------------
-
-    def summary(self) -> dict[str, int | float]:
-        incomplete_tp = {
-            pkg for pkg in self.incomplete_desc_apps()
-            if self.plans[pkg].gt_incomplete_desc
-        } | {
-            pkg for pkg in self.incomplete_code_apps()
-            if self.plans[pkg].gt_incomplete_code
-        }
-        incorrect_tp = {
-            pkg for pkg in self.incorrect_apps()
-            if self.plans[pkg].gt_incorrect
-        }
-        inconsistent_tp = self.inconsistent_true_apps()
-        problem_apps = incomplete_tp | incorrect_tp | inconsistent_tp
-        desc_tp = {
-            pkg for pkg in self.incomplete_desc_apps()
-            if self.plans[pkg].gt_incomplete_desc
-        }
-        code_tp = {
-            pkg for pkg in self.incomplete_code_apps()
-            if self.plans[pkg].gt_incomplete_code
-        }
-        return {
-            "apps": self.n_apps,
-            "problem_apps": len(problem_apps),
-            "problem_fraction": len(problem_apps) / self.n_apps
-            if self.n_apps else 0.0,
-            "incomplete_apps": len(incomplete_tp),
-            "incomplete_via_description": len(desc_tp),
-            "incomplete_via_code": len(code_tp),
-            "incorrect_apps": len(incorrect_tp),
-            "incorrect_via_description": len(
-                {p for p in self.incorrect_apps("description")
-                 if self.plans[p].gt_incorrect}
-            ),
-            "incorrect_via_code": len(
-                {p for p in self.incorrect_apps("code")
-                 if self.plans[p].gt_incorrect}
-            ),
-            "inconsistent_apps": len(inconsistent_tp),
-            "quarantined_apps": len(self.failures),
-        }
-
-
-#: the paper's published evaluation numbers (Section V).
-PAPER_RESULTS: dict[str, int | float] = {
-    "apps": 1197,
-    "problem_apps": 282,
-    "problem_fraction": 0.236,
-    "incomplete_apps": 222,
-    "incomplete_via_description": 64,
-    "incomplete_via_code": 180,
-    "incorrect_apps": 4,
-    "incorrect_via_description": 2,
-    "incorrect_via_code": 4,
-    "inconsistent_apps": 75,
-}
-
-
-@dataclass
-class StudyAggregate(_StudyTables):
-    """:class:`StudyResult`'s tables, folded one app at a time.
-
-    Holds counters instead of the reports dict, so its size is
-    independent of the corpus: the study folds a million-app run into
-    the same few hundred bytes as the paper's 1,197.  ``to_dict()`` is
-    pinned byte-identical to ``StudyResult.to_dict()`` -- every table
-    in the materialized result decomposes into per-app increments, and
-    :meth:`fold` applies exactly those increments.
-    """
-
-    n_apps: int = 0
-    checked: int = 0
-    _table3: Counter[str] = field(default_factory=Counter)
-    _fig13: Counter[InfoType] = field(default_factory=Counter)
-    _fig13_retained: int = 0
-    _code_tp: int = 0
-    _code_fp: int = 0
-    _rows: dict[str, RowMetrics] = field(default_factory=lambda: {
-        "collect_use_retain": RowMetrics(), "disclose": RowMetrics()})
-    _summary: Counter[str] = field(default_factory=Counter)
-    failures: dict[str, AppFailure] = field(default_factory=dict)
-    stats: PipelineStats | None = field(default=None, repr=False,
-                                        compare=False)
-    telemetry: dict[str, float | int] | None = field(
-        default=None, repr=False, compare=False)
-
-    # -- the fold ----------------------------------------------------------
-
-    def fold(self, plan: AppPlan,
-             outcome: AppReport | AppFailure) -> None:
-        """Account one finished app."""
-        self.n_apps += 1
-        if isinstance(outcome, AppFailure):
-            self.failures[plan.package] = outcome
-            return
-        report = outcome
-        self.checked += 1
-
-        desc_findings = report.incomplete_via("description")
-        for permission in {f.permission for f in desc_findings}:
-            self._table3[permission] += 1
-        desc_tp = bool(desc_findings) and plan.gt_incomplete_desc
-
-        code_findings = report.incomplete_via("code")
-        code_tp = False
-        if code_findings:
-            if plan.gt_incomplete_code:
-                code_tp = True
-                self._code_tp += 1
-                for finding in code_findings:
-                    self._fig13[finding.info] += 1
-                    if finding.retained:
-                        self._fig13_retained += 1
-            else:
-                self._code_fp += 1
-
-        incorrect_tp = bool(report.incorrect) and plan.gt_incorrect
-
-        det_cur = any(f.category is not VerbCategory.DISCLOSE
-                      for f in report.inconsistent)
-        det_d = any(f.category is VerbCategory.DISCLOSE
-                    for f in report.inconsistent)
-        for row, detected, truth in (
-            ("collect_use_retain", det_cur, plan.gt_inconsistent_cur),
-            ("disclose", det_d, plan.gt_inconsistent_d),
-        ):
-            metrics = self._rows[row]
-            if detected and truth:
-                metrics.tp += 1
-            elif detected and not truth:
-                metrics.fp += 1
-            elif not detected and truth:
-                metrics.fn += 1
-        inconsistent_tp = (det_cur and plan.gt_inconsistent_cur) or (
-            det_d and plan.gt_inconsistent_d)
-
-        summary = self._summary
-        if desc_tp:
-            summary["incomplete_via_description"] += 1
-        if code_tp:
-            summary["incomplete_via_code"] += 1
-        if desc_tp or code_tp:
-            summary["incomplete_apps"] += 1
-        if incorrect_tp:
-            summary["incorrect_apps"] += 1
-        if report.incorrect_via("description") and plan.gt_incorrect:
-            summary["incorrect_via_description"] += 1
-        if report.incorrect_via("code") and plan.gt_incorrect:
-            summary["incorrect_via_code"] += 1
-        if inconsistent_tp:
-            summary["inconsistent_apps"] += 1
-        if desc_tp or code_tp or incorrect_tp or inconsistent_tp:
-            summary["problem_apps"] += 1
-
-    # -- StudyResult-compatible views --------------------------------------
-
-    def table3(self) -> dict[str, int]:
-        return dict(self._table3)
-
-    def fig13(self) -> tuple[Counter[InfoType], int]:
-        return self._fig13, self._fig13_retained
-
-    def incomplete_code_confusion(self) -> tuple[int, int]:
-        return self._code_tp, self._code_fp
-
-    def table4(self) -> dict[str, RowMetrics]:
-        return self._rows
-
-    def summary(self) -> dict[str, int | float]:
-        problems = self._summary
-        return {
-            "apps": self.n_apps,
-            "problem_apps": problems["problem_apps"],
-            "problem_fraction": problems["problem_apps"] / self.n_apps
-            if self.n_apps else 0.0,
-            "incomplete_apps": problems["incomplete_apps"],
-            "incomplete_via_description":
-                problems["incomplete_via_description"],
-            "incomplete_via_code": problems["incomplete_via_code"],
-            "incorrect_apps": problems["incorrect_apps"],
-            "incorrect_via_description":
-                problems["incorrect_via_description"],
-            "incorrect_via_code": problems["incorrect_via_code"],
-            "inconsistent_apps": problems["inconsistent_apps"],
-            "quarantined_apps": len(self.failures),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +316,23 @@ class ResultSink(Protocol):
 
 
 class ReportSink:
-    """The in-memory sink: keeps every outcome and its plan on
-    :attr:`result`, a :class:`StudyResult` (what :func:`run_study`
-    returns and the HTML dashboard renders)."""
+    """The in-memory sink: keeps every checked app's report, package
+    -> :class:`AppReport`, in index order."""
 
-    def __init__(self, spec: CorpusSpec) -> None:
-        self.spec = spec
-        self.result = StudyResult(n_apps=0)
+    def __init__(self) -> None:
+        self.reports: dict[str, AppReport] = {}
 
     def emit(self, index: int, key: str,
              outcome: AppReport | AppFailure) -> None:
-        result = self.result
-        result.n_apps += 1
-        result.plans[key] = self.spec.plan(index)
-        if isinstance(outcome, AppFailure):
-            result.failures[key] = outcome
-        else:
-            result.reports[key] = outcome
+        if not isinstance(outcome, AppFailure):
+            self.reports[key] = outcome
+
+    def result(self, aggregate: StudyAggregate) -> StudyResult:
+        """*aggregate*'s tables with the kept reports."""
+        return StudyResult(
+            **{f.name: getattr(aggregate, f.name)
+               for f in fields(StudyAggregate)},
+            reports=self.reports)
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +502,11 @@ def run_study(
     """
     spec = (corpus if isinstance(corpus, CorpusSpec)
             else CorpusSpec(seed=corpus.seed, n_apps=len(corpus)))
-    sink = ReportSink(spec)
-    aggregate = run_study_streaming(
+    sink = ReportSink()
+    return sink.result(run_study_streaming(
         spec, checker=checker, limit=limit, workers=workers,
         keep_going=keep_going, skip=skip, on_outcome=on_outcome,
-        sinks=[sink], shards=shards, shard_options=shard_options)
-    result = sink.result
-    result.stats = aggregate.stats
-    result.telemetry = aggregate.telemetry
-    return result
+        sinks=[sink], shards=shards, shard_options=shard_options))
 
 
 def merge_study_results(out_dir: str) -> StudyAggregate:
@@ -658,7 +515,10 @@ def merge_study_results(out_dir: str) -> StudyAggregate:
 
     Plans are re-derived lazily from the corpus identity stamped in
     the shard headers, so the merge -- like the run that produced the
-    shards -- never materializes the corpus.
+    shards -- never materializes the corpus.  The shards must hold
+    exactly the run their meta names: indices ``0..N-1``, each once,
+    each keyed by its corpus package; anything else raises
+    :class:`~repro.core.results.ResultShardError` naming the shard.
     """
     from repro.core import results
 
@@ -670,9 +530,23 @@ def merge_study_results(out_dir: str) -> StudyAggregate:
     expected = meta.get("limit")
     expected = len(spec) if expected is None else min(expected,
                                                      len(spec))
+    paths = results.shard_paths(out_dir)
     aggregate = StudyAggregate()
-    for index, _key, outcome in results.iter_results(out_dir):
-        aggregate.fold(spec.plan(index), outcome)
+    for position, (index, key, outcome) in enumerate(
+            results.iter_results(out_dir)):
+        # a shard holds only its own indices (iter_shard checks it)
+        where = paths[index % len(paths)]
+        if index != position or index >= expected:
+            raise results.ResultShardError(
+                f"{where}: index {index} where the run meta promises "
+                f"index {position} of {expected} -- duplicated, "
+                f"missing, or foreign record?")
+        plan = spec.plan(index)
+        if key != plan.package:
+            raise results.ResultShardError(
+                f"{where}: index {index} is keyed {key!r}, but the "
+                f"run's app {index} is {plan.package!r}")
+        aggregate.fold(plan, outcome)
     if aggregate.n_apps != expected:
         raise results.ResultShardError(
             f"{out_dir}: shards hold {aggregate.n_apps} outcomes "

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -706,9 +707,13 @@ class ClusterHandle(Listener):
     """A running cluster (tests, benchmarks, serve_cluster)."""
 
     def __init__(self, front: ClusterFront,
-                 supervisor: ShardSupervisor) -> None:
+                 supervisor: ShardSupervisor,
+                 temp_dir: str | None = None) -> None:
         self.front = front
         self.supervisor = supervisor
+        #: the run directory :func:`start_cluster` made for want of a
+        #: ``state_dir``; :meth:`close` removes it
+        self.temp_dir = temp_dir
         super().__init__(front.config.service, _FrontHandler, front,
                          "ppchecker-front-http")
 
@@ -720,14 +725,17 @@ class ClusterHandle(Listener):
         drained = self.supervisor.stop()
         self.stop_listening()
         self.front.pool.close()
+        if self.temp_dir is not None:
+            shutil.rmtree(self.temp_dir, ignore_errors=True)
         return drained
 
 
 def start_cluster(config: ClusterConfig) -> ClusterHandle:
     """Spawn the shards, start the front listener, return a handle.
     ``config.service.port=0`` binds an ephemeral front port."""
-    run_dir = config.service.state_dir or tempfile.mkdtemp(
-        prefix="ppchecker-cluster-")
+    temp_dir = (None if config.service.state_dir
+                else tempfile.mkdtemp(prefix="ppchecker-cluster-"))
+    run_dir = config.service.state_dir or temp_dir
     os.makedirs(run_dir, exist_ok=True)
     # the alive-gauge callback closes over a cell filled in once the
     # supervisor exists (metrics and supervisor reference each other)
@@ -741,10 +749,13 @@ def start_cluster(config: ClusterConfig) -> ClusterHandle:
         supervisor.start()
     except BaseException:
         # a shard that failed to come up takes the ones already
-        # started down with it: nothing is left running
+        # started down with it: nothing is left running (its error
+        # already quotes the shard's stderr)
         supervisor.stop()
+        if temp_dir is not None:
+            shutil.rmtree(temp_dir, ignore_errors=True)
         raise
-    return ClusterHandle(front, supervisor)
+    return ClusterHandle(front, supervisor, temp_dir)
 
 
 def serve_cluster(config: ClusterConfig) -> int:

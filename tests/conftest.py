@@ -1,7 +1,12 @@
-"""Shared fixtures: analyzers, matchers, a small app-store slice, and
-the ESA/memo test oracles."""
+"""Shared fixtures: analyzers, matchers, a small app-store slice, the
+ESA/memo test oracles, and the temp-dir leak check every test runs
+under."""
 
 from __future__ import annotations
+
+import contextlib
+import os
+import tempfile
 
 import pytest
 
@@ -21,6 +26,44 @@ from repro.corpus.appstore import generate_app_store
 from repro.policy.analyzer import PolicyAnalyzer
 from repro.semantics.esa import default_model
 from tests.semantics.esa_reference import ReferenceEsa, disable_memo
+
+
+#: what the program names its temporary files and directories
+LEAK_PREFIX = "ppchecker-"
+
+
+@contextlib.contextmanager
+def _temp_root(owner: str, path):
+    """Point :mod:`tempfile` and ``TMPDIR`` (so CLI and shard children
+    too) at *path*, a directory of this test run's own, then fail
+    naming *owner* if anything called ``ppchecker-*`` is left in it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tempfile, "tempdir", str(path))
+        patch.setenv("TMPDIR", str(path))
+        yield
+    leaked = sorted(name for name in os.listdir(path)
+                    if name.startswith(LEAK_PREFIX))
+    if leaked:
+        pytest.fail(f"{owner} left {len(leaked)} temp entries behind: "
+                    f"{', '.join(leaked)}", pytrace=False)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaks_from_module_fixtures(request, tmp_path_factory):
+    """Module- and class-scoped fixtures (a shared cluster, say) make
+    their temp entries here; a leak fails the module's last test."""
+    with _temp_root(request.node.nodeid,
+                    tmp_path_factory.mktemp("module-tmp")):
+        yield
+
+
+@pytest.fixture(autouse=True)
+def no_leaks(request, tmp_path_factory):
+    """Each test's temp entries go to a directory of its own, and a
+    ``ppchecker-*`` entry left there fails the test."""
+    with _temp_root(request.node.nodeid,
+                    tmp_path_factory.mktemp("tmp")):
+        yield
 
 
 @pytest.fixture(scope="session")

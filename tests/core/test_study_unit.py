@@ -29,10 +29,6 @@ class TestStudyResult:
         assert result.n_apps == 10
         assert len(result.reports) == 10
 
-    def test_reports_and_plans_aligned(self, full_store, checker):
-        result = run_study(full_store, checker=checker, limit=10)
-        assert set(result.reports) == set(result.plans)
-
     def test_empty_summary(self):
         result = StudyResult(n_apps=0)
         summary = result.summary()

@@ -69,7 +69,7 @@ class TestFig13:
         tp, fp = result.incomplete_code_confusion()
         assert tp == 180
         assert fp == 15
-        assert len(result.incomplete_code_apps()) == 195
+        assert result.flagged()["incomplete_via_code"] == 195
 
     def test_234_records_32_retained(self, result):
         dist, retained = result.fig13()
@@ -100,11 +100,12 @@ class TestTableIV:
         assert row.f1 == pytest.approx(0.914, abs=0.02)
 
     def test_75_distinct_true_apps(self, result):
-        assert len(result.inconsistent_true_apps()) == 75
+        assert result.summary()["inconsistent_apps"] == 75
 
 
 class TestIncorrectDetail:
     def test_confusion(self, result):
-        tp, fp = result.incorrect_confusion()
+        tp = result.summary()["incorrect_apps"]
+        fp = result.flagged()["incorrect"] - tp
         assert tp == 4
         assert fp == 2

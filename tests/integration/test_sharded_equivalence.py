@@ -2,7 +2,8 @@
 
 Differential proof obligations for the ``--shards N`` worker planes:
 
-- ``run_study(..., shards=N)`` reproduces ``run_study``'s tables
+- ``run_study(..., shards=N)`` reproduces the tables the set-based
+  oracle derives from an inline ``run_study``'s reports
   byte-identically for any shard count, cold *and* warm through the
   shared sqlite artifact store (the full 1,197-app study rides in the
   slow lane),
@@ -33,6 +34,7 @@ from repro.core.study import (
 )
 from repro.corpus.appstore import CorpusSpec
 from repro.pipeline.stages import STAGES
+from tests.core.study_reference import reference_study
 
 
 def canonical(doc):
@@ -71,7 +73,7 @@ def total_hits(result) -> int:
 
 class TestShardedStudyEquivalence:
     def test_cold_and_warm_match_serial(self, tmp_path, small_store):
-        base = run_study(small_store)
+        base = reference_study(small_store, run_study(small_store))
         options = CheckerOptions(cache_dir=str(tmp_path / "cache"))
         cold = run_study(CorpusSpec(n_apps=64), shards=4,
                          shard_options=options)
@@ -110,7 +112,8 @@ class TestShardedStudyEquivalence:
         assert len(payloads) == 1
 
     def test_limit_matches_run_study_limit(self, mid_store):
-        base = run_study(mid_store, limit=48)
+        base = reference_study(mid_store,
+                               run_study(mid_store, limit=48))
         sharded = run_study(CorpusSpec(n_apps=len(mid_store)),
                             shards=3, limit=48)
         assert canonical(sharded.to_dict()) \
@@ -146,7 +149,7 @@ class TestShardedStudyEquivalence:
             == canonical(inproc.to_dict())
 
     def test_skip_merges_like_a_resumed_journal(self, small_store):
-        base = run_study(small_store)
+        base = reference_study(small_store, run_study(small_store))
         # replay half the outcomes as if a journal survived a crash
         packages = sorted(base.reports)[::2]
         skip = {package: base.reports[package]
@@ -163,7 +166,8 @@ class TestShardedStudyEquivalence:
     @pytest.mark.slow
     def test_full_1197_study_cold_and_warm(self, tmp_path,
                                            full_store, checker):
-        base = run_study(full_store, checker=checker)
+        base = reference_study(full_store,
+                               run_study(full_store, checker=checker))
         options = CheckerOptions(cache_dir=str(tmp_path / "cache"))
         cold = run_study(CorpusSpec(), shards=4,
                          shard_options=options)

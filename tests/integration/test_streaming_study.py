@@ -2,9 +2,10 @@
 
 Three proof obligations from the streaming refactor:
 
-- streaming + merge reconstitutes the materialized ``study`` tables
-  byte-identically (in-process at mid scale, full 1,197-app scale in
-  the slow lane, and through the real CLI end to end),
+- streaming + merge reconstitutes the tables the set-based oracle
+  (``tests/core/study_reference.py``) derives from ``run_study``'s
+  reports, byte-identically (in-process at mid scale, full 1,197-app
+  scale in the slow lane, and through the real CLI end to end),
 - a streaming run killed by an injected crash fault and restarted
   with ``--resume`` reproduces the uninterrupted run's shards and
   JSON byte-for-byte,
@@ -28,6 +29,7 @@ from repro.core.study import (
 )
 from repro.corpus.appstore import CorpusSpec
 from repro.pipeline.faults import CRASH_EXIT_CODE
+from tests.core.study_reference import reference_study
 
 
 def canonical(doc):
@@ -62,7 +64,7 @@ def stripped(path):
 class TestStreamingEquivalence:
     def test_streaming_matches_materialized_mid_scale(self,
                                                       mid_store):
-        base = run_study(mid_store)
+        base = reference_study(mid_store, run_study(mid_store))
         spec = CorpusSpec(n_apps=len(mid_store))
         for workers in (1, 3):
             aggregate = run_study_streaming(spec, workers=workers)
@@ -71,7 +73,7 @@ class TestStreamingEquivalence:
 
     def test_merge_reconstitutes_the_tables(self, tmp_path,
                                             mid_store):
-        base = run_study(mid_store)
+        base = reference_study(mid_store, run_study(mid_store))
         spec = CorpusSpec(n_apps=len(mid_store))
         out = str(tmp_path / "shards")
         meta = {"kind": "study", "seed": spec.seed,
@@ -85,7 +87,8 @@ class TestStreamingEquivalence:
         assert indices == list(range(len(mid_store)))
 
     def test_limit_matches_run_study_limit(self, mid_store):
-        base = run_study(mid_store, limit=100)
+        base = reference_study(mid_store,
+                               run_study(mid_store, limit=100))
         spec = CorpusSpec(n_apps=len(mid_store))
         aggregate = run_study_streaming(spec, limit=100)
         assert canonical(aggregate.to_dict()) \
@@ -100,7 +103,8 @@ class TestStreamingEquivalence:
     @pytest.mark.slow
     def test_full_1197_study_is_byte_identical(self, tmp_path,
                                                full_store, checker):
-        base = run_study(full_store, checker=checker)
+        base = reference_study(full_store,
+                               run_study(full_store, checker=checker))
         spec = CorpusSpec()
         out = str(tmp_path / "shards")
         meta = {"kind": "study", "seed": spec.seed,

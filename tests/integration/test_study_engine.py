@@ -5,7 +5,8 @@ or a thread window) or from the ``ShardPool`` process plane.  Every
 source must give the same study:
 
 - the engine matrix: ``{workers=1, workers=3, shards=2}`` x
-  ``{fresh, half skipped}`` folds the same ``to_dict()``, writes the
+  ``{fresh, half skipped}`` folds the same ``to_dict()`` as the
+  set-based oracle over ``run_study``'s reports, writes the
   same ``--out`` result-shard bytes, and fires ``on_outcome`` for the
   same packages (fresh apps only, in index order),
 - ``keep_going=False`` raises the same ``BatchItemError`` on every
@@ -28,6 +29,7 @@ from repro.core.study import run_study, run_study_streaming
 from repro.corpus.appstore import CorpusSpec
 from repro.pipeline import stages
 from repro.pipeline.executor import BatchItemError
+from tests.core.study_reference import reference_study
 
 N_APPS = 24
 
@@ -93,7 +95,7 @@ class TestEngineMatrix:
         ref_aggregate, ref_shards, _ = reference
         assert canonical(aggregate.to_dict()) \
             == canonical(ref_aggregate.to_dict()) \
-            == canonical(baseline.to_dict())
+            == canonical(reference_study(spec, baseline).to_dict())
         assert shards == ref_shards
         assert fired == [spec.package_for(index)
                          for index in range(N_APPS)

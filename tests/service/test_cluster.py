@@ -275,3 +275,33 @@ class TestGracefulDrain:
         # and the front stopped listening
         with pytest.raises(OSError):
             client.healthz()
+
+
+class TestRunDirectory:
+    """A cluster keeps its shards' port and stderr files in a run
+    directory: ``state_dir`` when set, else a temp directory that
+    ``close()`` removes."""
+
+    def test_close_removes_the_temp_run_dir_it_made(self):
+        handle = start_cluster(ClusterConfig(
+            service=ServiceConfig(port=0, workers=1, drain_timeout=5.0),
+            shards=1,
+        ))
+        run_dir = handle.temp_dir
+        assert os.path.basename(run_dir).startswith("ppchecker-cluster-")
+        assert "shard-0.port" in os.listdir(run_dir)
+        handle.close()
+        assert not os.path.exists(run_dir)
+
+    def test_close_keeps_the_state_dir(self, tmp_path):
+        state = tmp_path / "state"
+        handle = start_cluster(ClusterConfig(
+            service=ServiceConfig(port=0, workers=1,
+                                  state_dir=str(state),
+                                  drain_timeout=5.0),
+            shards=1,
+        ))
+        assert handle.temp_dir is None
+        handle.close()
+        assert {"shard-0", "shard-0.port", "shard-0.stderr"} \
+            <= set(os.listdir(state))
