@@ -8,20 +8,20 @@ Subcommands::
         Run PPChecker over one serialized app bundle.
 
     python -m repro.cli batch-check BUNDLE.json... [--json PATH]
-            [--workers N] [--cache-dir PATH] [--fail-on-findings]
+            [--cache-dir PATH] [--fail-on-findings]
             [--max-retries N] [--stage-timeout SECONDS]
             [--keep-going | --no-keep-going]
             [--journal PATH] [--resume]
-        Run PPChecker over many bundles at once, fanned out over a
-        worker pool and sharing one artifact cache (compliance-CI
-        entry point).  With --keep-going (the default) a failing
-        bundle is quarantined as a structured failure record instead
-        of aborting the batch.  --journal checkpoints each finished
-        bundle to a write-ahead journal; after a crash, --resume
-        replays the finished ones and checks only the rest.
+        Run PPChecker over many bundles at once, one after another,
+        sharing one artifact cache (compliance-CI entry point).  With
+        --keep-going (the default) a failing bundle is quarantined as
+        a structured failure record instead of aborting the batch.
+        --journal checkpoints each finished bundle to a write-ahead
+        journal; after a crash, --resume replays the finished ones
+        and checks only the rest.
 
     python -m repro.cli study [--apps N] [--seed S] [--json PATH]
-            [--html PATH] [--workers N] [--cache-dir PATH]
+            [--html PATH] [--cache-dir PATH]
             [--max-retries N] [--stage-timeout SECONDS]
             [--deadline SECONDS]
             [--retry-budget TOKENS] [--retry-budget-refill PER_SECOND]
@@ -30,20 +30,22 @@ Subcommands::
             [--limit N] [--out DIR] [--out-shards N] [--shards N]
         Run the full market study over the synthetic corpus and print
         the paper's tables.  Apps are derived lazily and folded into
-        constant-size aggregates, so peak RSS is bounded by the apps
-        in flight (4x --workers), not by --apps.  --journal / --resume
-        give the study crash-safe per-app checkpoints: a killed run
-        restarted with --resume reproduces the uninterrupted run's
-        report exactly.  --out DIR also writes every per-app outcome
-        to sharded NDJSON files for later merge-results; --html keeps
-        every report in memory to render the dashboard.  --shards N
-        fans the checks out over N worker processes on the same
-        consistent-hash plane as serve --shards, each building its
-        checker from the same flags (tables are byte-identical to the
-        in-process run; with --cache-dir every worker shares one
-        artifact cache).  --limit checks only the first N apps of
-        the corpus *without changing it* (unlike --apps, which
-        regenerates a different corpus).
+        constant-size aggregates, so peak RSS is set by the one app
+        checked inline (with --shards, by at most SHARD_QUEUE_BOUND
+        queued outcomes per shard), not by --apps.  --journal /
+        --resume give the study crash-safe per-app checkpoints: a
+        killed run restarted with --resume reproduces the
+        uninterrupted run's report exactly.  --out DIR also writes
+        every per-app outcome to sharded NDJSON files for later
+        merge-results; --html keeps every report in memory to render
+        the dashboard.  --shards N fans the checks out over N worker
+        processes, shard k checking the apps whose corpus index i has
+        i % N == k, each building its checker from the same flags
+        (tables are byte-identical to the in-process run; with
+        --cache-dir every worker shares one artifact cache); it is
+        the one way to use more cores.  --limit checks only the first
+        N apps of the corpus *without changing it* (unlike --apps,
+        which regenerates a different corpus).
 
     python -m repro.cli merge-results DIR [--json PATH]
         Reconstitute the study tables from a study --out shard
@@ -221,8 +223,7 @@ def cmd_batch_check(args: argparse.Namespace) -> int:
     })
     on_error = "quarantine" if args.keep_going else "raise"
     if runlog is None:
-        outcomes = checker.check_batch(bundles, workers=args.workers,
-                                       on_error=on_error)
+        outcomes = checker.check_batch(bundles, on_error=on_error)
     else:
         key_by_id = {id(b): k for b, k in zip(bundles, keys)}
         by_key = dict(skip)
@@ -232,8 +233,7 @@ def cmd_batch_check(args: argparse.Namespace) -> int:
         def checkpoint(bundle, outcome) -> None:
             runlog.record_outcome(key_by_id[id(bundle)], outcome)
 
-        fresh = checker.check_batch(remaining, workers=args.workers,
-                                    on_error=on_error,
+        fresh = checker.check_batch(remaining, on_error=on_error,
                                     on_outcome=checkpoint)
         for bundle, outcome in zip(remaining, fresh):
             by_key[key_by_id[id(bundle)]] = outcome
@@ -357,8 +357,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         sinks.append(writer)
     try:
         result = run_study_streaming(
-            spec, limit=args.limit, workers=args.workers,
-            keep_going=args.keep_going,
+            spec, limit=args.limit, keep_going=args.keep_going,
             skip=skip or None,
             on_outcome=runlog.record_outcome if runlog is not None
             else None,
@@ -545,6 +544,24 @@ def serve_flags(config) -> list[str]:
     return flags
 
 
+def _at_least(minimum: int):
+    """An argparse ``type`` for an integer >= *minimum*; anything
+    else is argparse's usage error (exit 2, one ``error:`` line)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -634,8 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "this JSON path")
     batch.add_argument("--lib-policies", default=None,
                        help="directory of <lib_id>.txt policies")
-    batch.add_argument("--workers", type=int, default=1,
-                       help="worker threads (default: serial)")
     batch.add_argument("--fail-on-findings", action="store_true",
                        help="exit 1 when any report has findings "
                             "or any app is quarantined")
@@ -645,12 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
     batch.set_defaults(func=cmd_batch_check)
 
     study = sub.add_parser("study", help="run the market study")
-    study.add_argument("--apps", type=int, default=1197,
+    study.add_argument("--apps", type=_at_least(1), default=1197,
                        help="corpus size; changing it regenerates a "
                             "*different* deterministic corpus "
                             "(default: 1197)")
     study.add_argument("--seed", type=int, default=2016)
-    study.add_argument("--limit", type=int, default=None, metavar="N",
+    study.add_argument("--limit", type=_at_least(1), default=None,
+                       metavar="N",
                        help="check only the first N apps of the "
                             "corpus without changing it (unlike "
                             "--apps, every checked report is "
@@ -659,8 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write results to this JSON path")
     study.add_argument("--html", default=None,
                        help="also render an HTML dashboard here")
-    study.add_argument("--workers", type=int, default=1,
-                       help="worker threads (default: serial)")
     study.add_argument("--out", default=None, metavar="DIR",
                        help="also write every per-app "
                             "outcome to sharded NDJSON files in DIR "
@@ -669,12 +683,13 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="result file count for --out "
                             "(default: 4)")
-    study.add_argument("--shards", type=int, default=0, metavar="N",
+    study.add_argument("--shards", type=_at_least(0), default=0,
+                       metavar="N",
                        help="fan the checks out over N worker "
-                            "*processes* on the same consistent-hash "
-                            "plane as serve --shards; the tables are "
-                            "byte-identical to a single-process run "
-                            "(default: 0 = in-process)")
+                            "*processes*, shard k checking corpus "
+                            "indices i with i %% N == k; the tables "
+                            "are byte-identical to a single-process "
+                            "run (default: 0 = in-process)")
     add_cache_dir(study)
     add_resilience(study, batch=True)
     add_journal(study)
@@ -691,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     screen = sub.add_parser("screen",
                             help="rank questionable apps by severity")
-    screen.add_argument("--apps", type=int, default=1197)
+    screen.add_argument("--apps", type=_at_least(1), default=1197)
     screen.add_argument("--seed", type=int, default=2016)
     screen.add_argument("--top", type=int, default=20)
     screen.add_argument("--min-score", type=float, default=0.0)

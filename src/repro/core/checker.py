@@ -7,11 +7,11 @@ with the incomplete / incorrect / inconsistent findings.
 Since the pipeline refactor, PPChecker is a thin facade over
 :class:`repro.pipeline.Pipeline`: every analysis runs as a
 content-addressed stage whose result is memoized in an artifact store
-(in-memory by default, optionally disk-backed), and batches fan out
-over a worker pool.  The facade keeps the historical call surface --
-``check``, ``analyze_policy``, ``analyze_code``, ``_lib_policy`` --
-so existing call sites and subclasses (e.g.
-:class:`repro.core.extended.ExtendedPPChecker`) work unchanged.
+(in-memory by default, optionally disk-backed).  The facade keeps
+the historical call surface -- ``check``, ``analyze_policy``,
+``analyze_code``, ``_lib_policy`` -- so existing call sites and
+subclasses (e.g. :class:`repro.core.extended.ExtendedPPChecker`) work
+unchanged.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.pipeline.artifacts import (
 from repro.pipeline.faults import FaultPlan
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.resilience import (
+    BatchItemError,
     Deadline,
     RetryBudget,
     RetryPolicy,
@@ -151,23 +152,51 @@ class PPChecker:
                                         permissions)
 
     def check_batch(self, bundles: list[AppBundle],
-                    workers: int = 1,
                     on_error: str = "raise",
                     on_outcome: Callable[
                         [AppBundle, AppReport | AppFailure],
                         None] | None = None,
                     ) -> list[AppReport | AppFailure]:
-        """``check`` over many apps, fanned out over *workers*
-        threads; results come back in input order.  ``workers=1`` is
-        a plain serial loop.  ``on_error="quarantine"`` isolates
-        per-app failures as :class:`~repro.core.report.AppFailure`
-        slots instead of aborting the batch.  ``on_outcome`` observes
-        each finished app as it completes (checkpoint hook; must be
-        thread-safe under ``workers > 1``)."""
-        return self.pipeline.check_batch(bundles, workers=workers,
-                                         check=self.check,
-                                         on_error=on_error,
-                                         on_outcome=on_outcome)
+        """:meth:`check` over many apps, one after another; results
+        come back in input order.  More cores go to separate
+        processes (``study --shards N``), not to threads: the checks
+        are CPU-bound Python.
+
+        ``on_error="raise"`` (the default) aborts on the first
+        failing bundle with a
+        :class:`~repro.pipeline.resilience.BatchItemError` naming its
+        index.  ``on_error="quarantine"`` isolates failures per app:
+        a failing bundle yields an
+        :class:`~repro.core.report.AppFailure` in its slot and the
+        rest of the batch proceeds (split the mix with
+        :func:`repro.core.report.partition_outcomes`).  ``on_outcome``
+        observes each finished app before the next one starts (the
+        durability layer checkpoints it to its journal here); an
+        exception it raises aborts the batch as that bundle's
+        :class:`~repro.pipeline.resilience.BatchItemError`."""
+        if on_error not in ("raise", "quarantine"):
+            raise ValueError(f"unknown on_error mode: {on_error!r}")
+
+        def run(bundle: AppBundle) -> AppReport | AppFailure:
+            if on_error == "raise":
+                outcome: AppReport | AppFailure = self.check(bundle)
+            else:
+                try:
+                    outcome = self.check(bundle)
+                except Exception as exc:
+                    outcome = AppFailure.from_exception(
+                        bundle.package, exc)
+            if on_outcome is not None:
+                on_outcome(bundle, outcome)
+            return outcome
+
+        outcomes = []
+        for index, bundle in enumerate(bundles):
+            try:
+                outcomes.append(run(bundle))
+            except Exception as exc:
+                raise BatchItemError(index, bundle, exc) from exc
+        return outcomes
 
 
 def lib_policy_source(

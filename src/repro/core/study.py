@@ -3,10 +3,9 @@ aggregate the numbers behind every table and figure.
 
 One engine, :func:`run_study_streaming`, derives the apps from a lazy
 :class:`CorpusSpec`, takes their outcomes in index order from one of
-two sources -- this process (inline, or a window of threads) or the
-consistent-hash :class:`ShardPool` of worker processes -- and folds
-them into a constant-size :class:`StudyAggregate`, the only code that
-computes the tables:
+two sources -- this process (inline) or the :class:`ShardPool` of
+worker processes -- and folds them into a constant-size
+:class:`StudyAggregate`, the only code that computes the tables:
 
 - Table III: permission -> count of description-incomplete apps,
 - Fig. 13: distribution of missed information (code path),
@@ -25,8 +24,7 @@ from __future__ import annotations
 import contextlib
 import resource
 import time
-from collections import Counter, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Protocol
 
@@ -35,7 +33,7 @@ from repro.core.report import AppFailure, AppReport
 from repro.corpus.appstore import AppStore, CorpusSpec
 from repro.corpus.plans import AppPlan
 from repro.pipeline.artifacts import PipelineStats
-from repro.pipeline.executor import BatchItemError
+from repro.pipeline.resilience import BatchItemError
 from repro.policy.verbs import VerbCategory
 from repro.semantics.resources import InfoType
 
@@ -361,33 +359,6 @@ def _check_one(spec: CorpusSpec, checker: PPChecker,
         return AppFailure.from_exception(spec.package_for(index), exc)
 
 
-def _local_outcomes(spec: CorpusSpec, checker: PPChecker, total: int,
-                    skip: dict, workers: int,
-                    ) -> Iterator[AppReport | AppFailure]:
-    """Fresh outcomes checked in this process, in index order: inline
-    for one worker, else from at most ``4 * workers`` in-flight
-    checks on a thread pool."""
-    todo = (index for index in range(total)
-            if spec.package_for(index) not in skip)
-    if workers <= 1:
-        for index in todo:
-            yield _check_one(spec, checker, index)
-        return
-    pending: deque[Future] = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            for index in todo:
-                pending.append(pool.submit(_check_one, spec, checker,
-                                           index))
-                if len(pending) >= 4 * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
-
-
 def _fail_fast(index: int, failure: AppFailure) -> BatchItemError:
     """``keep_going=False``'s error, the same on every plane: built
     from the failure record, which -- unlike the exception -- crosses
@@ -395,9 +366,7 @@ def _fail_fast(index: int, failure: AppFailure) -> BatchItemError:
     cause = RuntimeError(
         f"{failure.error} at stage {failure.stage!r} after "
         f"{failure.attempts} attempt(s): {failure.message}")
-    error = BatchItemError(index, failure.package, cause)
-    error.__cause__ = cause
-    return error
+    return BatchItemError(index, failure.package, cause)
 
 
 def run_study_streaming(
@@ -417,13 +386,17 @@ def run_study_streaming(
 
     Apps are derived from *spec* one index at a time, checked, and
     folded straight into a :class:`StudyAggregate` -- peak RSS is set
-    by the apps in flight, not by ``len(spec)``.  Outcomes come from
+    by the app being checked (or the bounded shard queues), not by
+    ``len(spec)``.  Outcomes come from
     one of two sources, always **in index order**:
 
-    - this process: inline for ``workers=1``, else a thread pool with
-      at most ``4 * workers`` apps in flight;
-    - with ``shards > 0``, the consistent-hash *process* worker plane
-      (:class:`ShardPool`); *workers* is ignored there.
+    - this process, one app at a time;
+    - with ``shards > 0``, the *process* worker plane
+      (:class:`ShardPool`), the one way to use more cores.
+
+    *workers* stays only for callers that still pass ``workers=1``
+    (perfbench's ``study`` workload); any other value raises
+    :class:`ValueError` (more cores come from ``shards=``).
 
     Each app's checker comes from *checker* or, when that is None
     (always with ``shards > 0``), from the *shard_options* recipe.
@@ -438,9 +411,12 @@ def run_study_streaming(
     reproduce the uninterrupted run byte-for-byte.  With
     ``keep_going`` (the default) a failing app is quarantined on
     ``failures``; ``keep_going=False`` raises
-    :class:`~repro.pipeline.executor.BatchItemError` for the first
+    :class:`~repro.pipeline.resilience.BatchItemError` for the first
     failing corpus index instead.
     """
+    if workers != 1:
+        raise ValueError(f"workers={workers!r}: the study runs inline "
+                         f"or on shards=N worker processes")
     started = time.perf_counter()
     total = len(spec) if limit is None else min(limit, len(spec))
     skip = skip or {}
@@ -457,7 +433,9 @@ def run_study_streaming(
         pool = None
         if checker is None:
             checker = options.build_checker(spec.lib_policy)
-        source = _local_outcomes(spec, checker, total, skip, workers)
+        source = (_check_one(spec, checker, index)
+                  for index in range(total)
+                  if spec.package_for(index) not in skip)
     aggregate = StudyAggregate()
     with pool or contextlib.nullcontext(), \
             contextlib.closing(source) as fresh:
@@ -483,7 +461,6 @@ def run_study(
     corpus: CorpusSpec | AppStore,
     checker: PPChecker | None = None,
     limit: int | None = None,
-    workers: int = 1,
     keep_going: bool = True,
     skip: dict[str, AppReport | AppFailure] | None = None,
     on_outcome: Callable[[str, AppReport | AppFailure],
@@ -504,9 +481,9 @@ def run_study(
             else CorpusSpec(seed=corpus.seed, n_apps=len(corpus)))
     sink = ReportSink()
     return sink.result(run_study_streaming(
-        spec, checker=checker, limit=limit, workers=workers,
-        keep_going=keep_going, skip=skip, on_outcome=on_outcome,
-        sinks=[sink], shards=shards, shard_options=shard_options))
+        spec, checker=checker, limit=limit, keep_going=keep_going,
+        skip=skip, on_outcome=on_outcome, sinks=[sink], shards=shards,
+        shard_options=shard_options))
 
 
 def merge_study_results(out_dir: str) -> StudyAggregate:
@@ -562,22 +539,17 @@ def merge_study_results(out_dir: str) -> StudyAggregate:
 def _shard_worker_main(shard: int, shards: int, seed: int, n_apps: int,
                        total: int, skip: frozenset,
                        options: CheckerOptions, out_queue) -> None:
-    """Worker process: check every corpus index whose package the hash
-    ring assigns to shard *shard*, in ascending index order, streaming
+    """Worker process: check every corpus index ``i`` with
+    ``i % shards == shard``, in ascending index order, streaming
     ``("outcome", index, outcome)`` records back -- a failing check
     as its picklable :class:`AppFailure`.  Always ends with a
     ``("stats", snapshot)`` record so the parent can merge pipeline
     counters."""
-    from repro.service.hashring import ring_for, shard_name
-
     spec = CorpusSpec(seed=seed, n_apps=n_apps)
-    ring = ring_for(shards)
-    mine = shard_name(shard)
     checker = options.build_checker(spec.lib_policy)
     try:
-        for index in range(total):
-            package = spec.package_for(index)
-            if package in skip or ring.place(package) != mine:
+        for index in range(shard, total, shards):
+            if spec.package_for(index) in skip:
                 continue
             out_queue.put(("outcome", index,
                            _check_one(spec, checker, index)))
@@ -586,13 +558,12 @@ def _shard_worker_main(shard: int, shards: int, seed: int, n_apps: int,
 
 
 class ShardPool:
-    """The study's process worker plane -- the same consistent-hash
-    assignment as ``serve --shards N``, driven directly.
+    """The study's process worker plane.
 
-    *shards* spawn processes each own the corpus indices whose
-    package name the service hash ring
-    (:func:`repro.service.hashring.ring_for`) places on their shard
-    name.  The parent drains outcomes in **global index order**:
+    *shards* spawn processes; shard ``k`` owns the corpus indices
+    ``i`` with ``i % shards == k``, the rule the ``--out`` result
+    shards use too.  The parent drains outcomes in **global index
+    order**:
     every index belongs to exactly one shard and each shard emits its
     indices ascending, so the head of the owner's queue is always the
     next outcome.  Per-shard queues hold at most
@@ -606,15 +577,10 @@ class ShardPool:
                  options: CheckerOptions | None = None):
         import multiprocessing
 
-        from repro.service.hashring import ring_for, shard_name
-
         self.spec = spec
         self.shards = max(1, min(shards, max(total, 1)))
         self.total = total
         self.skip = frozenset(skip)
-        self.ring = ring_for(self.shards)
-        self._owner_index = {shard_name(i): i
-                             for i in range(self.shards)}
         options = options or CheckerOptions()
         ctx = multiprocessing.get_context("spawn")
         self.queues = [ctx.Queue(maxsize=SHARD_QUEUE_BOUND)
@@ -658,10 +624,9 @@ class ShardPool:
         """Yield the outcome of every fresh (non-skipped) index, in
         ascending index order."""
         for index in range(self.total):
-            package = self.spec.package_for(index)
-            if package in self.skip:
+            if self.spec.package_for(index) in self.skip:
                 continue
-            shard = self._owner_index[self.ring.place(package)]
+            shard = index % self.shards
             record = self._next(shard)
             if record[0] != "outcome" or record[1] != index:
                 raise RuntimeError(

@@ -3,9 +3,9 @@
 - :mod:`repro.pipeline.stages`     stage names, cache-key recipes, codecs
 - :mod:`repro.pipeline.artifacts`  artifact stores (memory LRU, shared
   sqlite, tiered) and the per-stage counters
-- :mod:`repro.pipeline.executor`   deterministic batch fan-out
 - :mod:`repro.pipeline.resilience` per-stage timeouts, bounded retries
-  with deterministic backoff, :class:`StageError`
+  with deterministic backoff, :class:`StageError`,
+  :class:`BatchItemError`
 - :mod:`repro.pipeline.faults`     injectable fault plans (the chaos
   harness tests and benchmarks drive)
 - :mod:`repro.pipeline.pipeline`   the :class:`Pipeline` orchestrator
@@ -16,7 +16,7 @@ Typical use::
 
     pipeline = Pipeline(lib_policy_source=store.lib_policy,
                         store=build_store(cache_dir=".ppcache"))
-    reports = pipeline.check_batch(bundles, workers=4)
+    reports = [pipeline.check(bundle) for bundle in bundles]
     print(pipeline.stats.to_dict())
 """
 
@@ -30,7 +30,6 @@ from repro.pipeline.artifacts import (
     TieredStore,
     build_store,
 )
-from repro.pipeline.executor import BatchExecutor, BatchItemError
 from repro.pipeline.faults import (
     CorruptArtifact,
     FaultPlan,
@@ -39,6 +38,7 @@ from repro.pipeline.faults import (
 )
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.resilience import (
+    BatchItemError,
     Deadline,
     DeadlineExceeded,
     PipelineError,
@@ -61,7 +61,6 @@ __all__ = [
     "build_store",
     "StageStats",
     "PipelineStats",
-    "BatchExecutor",
     "BatchItemError",
     "Pipeline",
     "STAGES",

@@ -8,8 +8,8 @@ same) never re-runs the corresponding analysis; lib-policy analyses
 are shared across *all* apps and checker instances that share a store.
 
 :class:`repro.core.checker.PPChecker` is a thin facade over this
-class; use the pipeline directly when you need batch fan-out, a disk
-cache, or the per-stage counters.
+class; use the pipeline directly when you need a disk cache or the
+per-stage counters.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.core.incorrect import (
     detect_incorrect_via_description,
 )
 from repro.core.matching import InfoMatcher
-from repro.core.report import AppFailure, AppReport
+from repro.core.report import AppReport
 from repro.description.autocog import AutoCog
 from repro.pipeline import stages
 from repro.pipeline.artifacts import (
@@ -43,7 +43,6 @@ from repro.pipeline.artifacts import (
     MemoryStore,
     PipelineStats,
 )
-from repro.pipeline.executor import BatchExecutor
 from repro.pipeline.faults import FaultPlan
 from repro.pipeline.resilience import RetryPolicy, StageError
 from repro.policy.analyzer import PolicyAnalyzer
@@ -279,7 +278,7 @@ class Pipeline:
         return self._run(stages.DETECT, digest, compute,
                          context=bundle.package)
 
-    # -- whole-app and batch entry points ----------------------------------
+    # -- the whole-app entry point -----------------------------------------
 
     def check(self, bundle: "AppBundle") -> AppReport:
         """All five stages over one app (Alg. 1-5, cached)."""
@@ -289,54 +288,6 @@ class Pipeline:
         permissions = (self.description_permissions(bundle)
                        & bundle.apk.manifest.permissions)
         return self.detect(bundle, policy, static_result, permissions)
-
-    def check_batch(
-        self,
-        bundles: list["AppBundle"],
-        workers: int = 1,
-        check: Callable[["AppBundle"], AppReport] | None = None,
-        on_error: str = "raise",
-        on_outcome: Callable[["AppBundle", AppReport | AppFailure],
-                             None] | None = None,
-    ) -> list[AppReport | AppFailure]:
-        """``check`` over every bundle, fanned out over *workers*
-        threads; results come back in input order.  ``check`` defaults
-        to :meth:`check` -- pass a bound override (e.g. an
-        :class:`~repro.core.extended.ExtendedPPChecker` method) to
-        keep subclass behaviour under fan-out.
-
-        ``on_error="raise"`` (the default) aborts the batch on the
-        first failing bundle, as a
-        :class:`~repro.pipeline.executor.BatchItemError` naming the
-        item.  ``on_error="quarantine"`` isolates failures per app: a
-        failing bundle yields an
-        :class:`~repro.core.report.AppFailure` in its slot and the
-        rest of the batch proceeds (split the mix with
-        :func:`repro.core.report.partition_outcomes`).
-
-        ``on_outcome`` (when given) observes every finished app from
-        the worker thread that produced it, before the batch
-        completes -- the durability layer checkpoints each outcome to
-        its journal here.  It must be thread-safe; exceptions
-        propagate as that bundle's failure."""
-        check = check or self.check
-        if on_error not in ("raise", "quarantine"):
-            raise ValueError(f"unknown on_error mode: {on_error!r}")
-
-        def run(bundle: "AppBundle") -> AppReport | AppFailure:
-            if on_error == "raise":
-                outcome: AppReport | AppFailure = check(bundle)
-            else:
-                try:
-                    outcome = check(bundle)
-                except Exception as exc:
-                    outcome = AppFailure.from_exception(
-                        bundle.package, exc)
-            if on_outcome is not None:
-                on_outcome(bundle, outcome)
-            return outcome
-
-        return BatchExecutor(workers=workers).map(run, bundles)
 
 
 __all__ = ["Pipeline"]

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+import reprlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -99,6 +100,23 @@ class StageError(PipelineError):
         super().__init__(
             f"{context or '<no context>'}: stage {stage!r} failed "
             f"after {attempts} attempt(s): {cause!r}"
+        )
+        self.__cause__ = cause
+
+
+class BatchItemError(RuntimeError):
+    """A batch aborted on item *index*: ``PPChecker.check_batch``
+    without quarantine, or the study under ``keep_going=False`` (its
+    first failing corpus index).  The message names the index and a
+    truncated repr of the item; *cause* becomes ``__cause__``."""
+
+    def __init__(self, index: int, item: object,
+                 cause: BaseException) -> None:
+        self.index = index
+        self.item = item
+        super().__init__(
+            f"batch item {index} ({reprlib.repr(item)}) failed: "
+            f"{cause!r}"
         )
         self.__cause__ = cause
 
@@ -462,6 +480,7 @@ __all__ = [
     "StageTimeout",
     "StageCancelled",
     "StageError",
+    "BatchItemError",
     "Deadline",
     "DeadlineExceeded",
     "RetryBudget",

@@ -93,8 +93,7 @@ class TestBatchCheck:
                                     tmp_path):
         out_json = str(tmp_path / "batch.json")
         code = main(["batch-check", bad_bundle_path,
-                     clean_bundle_path, "--workers", "2",
-                     "--json", out_json])
+                     clean_bundle_path, "--json", out_json])
         assert code == 0
         out = capsys.readouterr().out
         assert "2 apps checked, 1 with findings" in out
@@ -156,6 +155,34 @@ class TestBadBundleFile:
         assert line.startswith(f"error: {path}: {reason}")
 
 
+class TestUsageErrors:
+    """A bad size, or a flag that no longer exists, is argparse's
+    usage error: exit 2 with one ``error:`` line naming the flag,
+    before any app is checked."""
+
+    @pytest.mark.parametrize("args,flag", [
+        (["study", "--apps", "-3"], "--apps"),
+        (["study", "--apps", "0"], "--apps"),
+        (["screen", "--apps", "-1"], "--apps"),
+        (["study", "--limit", "-5"], "--limit"),
+        (["study", "--limit", "0"], "--limit"),
+        (["study", "--shards", "-1"], "--shards"),
+        (["study", "--workers", "2"], "--workers"),
+        (["batch-check", "app.json", "--workers", "2"], "--workers"),
+    ], ids=["apps-negative", "apps-zero", "screen-apps-negative",
+            "limit-negative", "limit-zero", "shards-negative",
+            "study-workers", "batch-check-workers"])
+    def test_exits_2_with_one_error_line(self, args, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines()
+                   if "error:" in line]
+        assert flag in line
+
+
 class TestStudy:
     def test_small_study_runs(self, capsys, tmp_path):
         out_json = str(tmp_path / "study.json")
@@ -176,7 +203,7 @@ class TestStudy:
         parallel_json = str(tmp_path / "parallel.json")
         assert main(["study", "--apps", "64",
                      "--json", serial_json]) == 0
-        assert main(["study", "--apps", "64", "--workers", "2",
+        assert main(["study", "--apps", "64", "--shards", "2",
                      "--cache-dir", str(tmp_path / "cache"),
                      "--json", parallel_json]) == 0
         with open(serial_json) as handle:

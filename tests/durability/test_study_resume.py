@@ -101,9 +101,9 @@ class TestRunLog:
 
 class TestStudySkip:
     def test_skip_merges_identically_to_full_run(self, store):
-        full = run_study(store, workers=2)
+        full = run_study(store)
         half = dict(list(full.reports.items())[:3])
-        resumed = run_study(store, skip=half, workers=2)
+        resumed = run_study(store, skip=half)
         assert {p: r.to_dict() for p, r in resumed.reports.items()} \
             == {p: r.to_dict() for p, r in full.reports.items()}
         assert resumed.to_dict() == full.to_dict()
@@ -154,8 +154,7 @@ def stripped(path):
     return json.dumps(payload, indent=2, sort_keys=True).encode()
 
 
-STUDY_ARGS = ["study", "--apps", str(N_APPS), "--seed", "2016",
-              "--workers", "2"]
+STUDY_ARGS = ["study", "--apps", str(N_APPS), "--seed", "2016"]
 
 
 class TestCrashResumeE2E:
@@ -179,8 +178,8 @@ class TestCrashResumeE2E:
         }]}))
 
         first = run_cli([*STUDY_ARGS, "--journal", journal,
-                         "--json", out, "--fault-plan", str(plan),
-                         "--workers", "1"], env)
+                         "--json", out, "--fault-plan", str(plan)],
+                        env)
         assert first.returncode == CRASH_EXIT_CODE
         assert not os.path.exists(out)  # died before the report
         committed = replay(journal)
@@ -210,7 +209,7 @@ class TestCrashResumeE2E:
         }]}))
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", *STUDY_ARGS,
-             "--workers", "1", "--journal", journal,
+             "--journal", journal,
              "--json", out, "--fault-plan", str(plan)],
             env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)

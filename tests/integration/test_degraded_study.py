@@ -4,7 +4,7 @@ The acceptance scenario from the robustness layer: a batch over six
 apps with two injected faults -- one raising, one hanging -- completes
 with four full reports and two structured quarantine entries, the hung
 stage cut off by the stage timeout.  Plus the determinism guarantee:
-serial, 2-worker, and warm-cache runs produce identical reports for
+inline, 2-shard, and warm-cache runs produce identical reports for
 the healthy apps and identical quarantine lists.
 """
 
@@ -13,13 +13,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.checker import PPChecker
+from repro.core.checker import CheckerOptions, PPChecker
 from repro.core.study import run_study
 from repro.corpus.appstore import generate_app_store
 from repro.android.serialization import save_bundle
 from repro.pipeline import stages
 from repro.pipeline.artifacts import build_store
-from repro.pipeline.executor import BatchItemError
+from repro.pipeline import BatchItemError
 from repro.pipeline.faults import FaultPlan, FaultSpec
 from repro.pipeline.resilience import RetryPolicy
 
@@ -63,7 +63,7 @@ class TestDegradedStudy:
         raise_pkg, hang_pkg = fault_targets(store)
         checker = degraded_checker(
             store, crash_and_hang_plan(raise_pkg, hang_pkg))
-        result = run_study(store, checker=checker, workers=2)
+        result = run_study(store, checker=checker)
 
         assert len(result.reports) == N_APPS - 2
         assert set(result.failures) == {raise_pkg, hang_pkg}
@@ -106,10 +106,20 @@ class TestDeterminism:
                       kind="corrupt"),
         ])
 
-    def run_once(self, store, workers=1, artifact_store=None):
+    def run_once(self, store, artifact_store=None):
         checker = degraded_checker(store, self.fault_plan(store),
                                    artifact_store=artifact_store)
-        result = run_study(store, checker=checker, workers=workers)
+        return self.outcomes(run_study(store, checker=checker))
+
+    def run_sharded(self, store, tmp_path):
+        plan = tmp_path / "faults.json"
+        plan.write_text(json.dumps(self.fault_plan(store).to_dict()))
+        return self.outcomes(run_study(
+            store, shards=2, shard_options=CheckerOptions(
+                fault_plan=str(plan), stage_timeout=TIMEOUT)))
+
+    @staticmethod
+    def outcomes(result):
         reports = {pkg: report.to_dict()
                    for pkg, report in result.reports.items()}
         quarantine = [result.failures[pkg].to_dict()
@@ -119,7 +129,7 @@ class TestDeterminism:
     def test_serial_parallel_and_warm_cache_agree(self, store,
                                                   tmp_path):
         serial = self.run_once(store)
-        threaded = self.run_once(store, workers=2)
+        sharded = self.run_sharded(store, tmp_path)
 
         cache = str(tmp_path / "cache")
         cold = self.run_once(
@@ -129,7 +139,7 @@ class TestDeterminism:
 
         baseline_reports, baseline_quarantine = serial
         assert len(baseline_quarantine) == 2
-        for reports, quarantine in (threaded, cold, warm):
+        for reports, quarantine in (sharded, cold, warm):
             assert reports == baseline_reports
             assert quarantine == baseline_quarantine
 
@@ -156,7 +166,6 @@ class TestCliDegradedBatch:
         code = main(["batch-check", *paths,
                      "--fault-plan", str(plan_path),
                      "--stage-timeout", str(TIMEOUT),
-                     "--workers", "2",
                      "--fail-on-findings",
                      "--json", out_json])
         # quarantined apps count as findings for exit purposes

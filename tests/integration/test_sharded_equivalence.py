@@ -130,9 +130,8 @@ class TestShardedStudyEquivalence:
 
         def run(out, shards):
             with ShardedResultWriter(out, meta, shards=2) as writer:
-                return run_study_streaming(
-                    spec, workers=2 if shards == 0 else 1,
-                    sinks=[writer], shards=shards)
+                return run_study_streaming(spec, sinks=[writer],
+                                           shards=shards)
 
         inproc = run(str(tmp_path / "inproc"), shards=0)
         sharded = run(str(tmp_path / "sharded"), shards=3)

@@ -66,8 +66,8 @@ class TestStreamingEquivalence:
                                                       mid_store):
         base = reference_study(mid_store, run_study(mid_store))
         spec = CorpusSpec(n_apps=len(mid_store))
-        for workers in (1, 3):
-            aggregate = run_study_streaming(spec, workers=workers)
+        for engine in ({}, {"shards": 2}):
+            aggregate = run_study_streaming(spec, **engine)
             assert canonical(aggregate.to_dict()) \
                 == canonical(base.to_dict())
 
@@ -79,7 +79,7 @@ class TestStreamingEquivalence:
         meta = {"kind": "study", "seed": spec.seed,
                 "apps": spec.n_apps}
         with ShardedResultWriter(out, meta, shards=4) as writer:
-            run_study_streaming(spec, workers=2, sinks=[writer])
+            run_study_streaming(spec, sinks=[writer])
         merged = merge_study_results(out)
         assert canonical(merged.to_dict()) \
             == canonical(base.to_dict())
@@ -110,8 +110,7 @@ class TestStreamingEquivalence:
         meta = {"kind": "study", "seed": spec.seed,
                 "apps": spec.n_apps}
         with ShardedResultWriter(out, meta, shards=4) as writer:
-            aggregate = run_study_streaming(spec, workers=2,
-                                            sinks=[writer])
+            aggregate = run_study_streaming(spec, sinks=[writer])
         merged = merge_study_results(out)
         assert canonical(aggregate.to_dict()) \
             == canonical(base.to_dict())
@@ -140,7 +139,7 @@ class TestStreamingCli:
         str_json = str(tmp_path / "str.json")
         merged_json = str(tmp_path / "merged.json")
         run = run_cli(["study", "--apps", str(self.N_APPS),
-                       "--workers", "2",
+                       "--shards", "2",
                        "--out", shards, "--json", str_json], env)
         assert run.returncode == 0, run.stdout + run.stderr
         merge = run_cli(["merge-results", shards,

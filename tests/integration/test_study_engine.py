@@ -1,10 +1,10 @@
 """One study engine, two outcome sources, the same results.
 
-``run_study_streaming`` takes its outcomes from this process (inline
-or a thread window) or from the ``ShardPool`` process plane.  Every
-source must give the same study:
+``run_study_streaming`` takes its outcomes from this process (inline)
+or from the ``ShardPool`` process plane.  Every source must give the
+same study:
 
-- the engine matrix: ``{workers=1, workers=3, shards=2}`` x
+- the engine matrix: ``{inline, shards=2}`` x
   ``{fresh, half skipped}`` folds the same ``to_dict()`` as the
   set-based oracle over ``run_study``'s reports, writes the
   same ``--out`` result-shard bytes, and fires ``on_outcome`` for the
@@ -13,7 +13,8 @@ source must give the same study:
   plane, naming the corpus index, package, stage and error type,
 - the shard processes build their checkers from the same recipe as
   the parent, so ``study --deadline`` quarantines the same apps with
-  and without ``--shards``.
+  and without ``--shards``,
+- there is no thread plane: ``workers`` other than 1 is refused.
 """
 
 import json
@@ -28,14 +29,13 @@ from repro.core.results import ShardedResultWriter
 from repro.core.study import run_study, run_study_streaming
 from repro.corpus.appstore import CorpusSpec
 from repro.pipeline import stages
-from repro.pipeline.executor import BatchItemError
+from repro.pipeline import BatchItemError
 from tests.core.study_reference import reference_study
 
 N_APPS = 24
 
 ENGINES = {
-    "workers1": {"workers": 1},
-    "workers3": {"workers": 3},
+    "inline": {},
     "shards2": {"shards": 2},
 }
 
@@ -77,7 +77,7 @@ class TestEngineMatrix:
     @pytest.fixture(scope="class")
     def reference(self, spec, tmp_path_factory):
         return run_engine(spec, str(tmp_path_factory.mktemp("ref")),
-                          "workers1")
+                          "inline")
 
     @pytest.mark.parametrize("half_skipped", [False, True],
                              ids=["fresh", "half-skipped"])
@@ -123,6 +123,11 @@ class TestFailFast:
         assert package in message
         assert stages.POLICY_ANALYSIS in message
         assert "InjectedFault" in message
+
+
+def test_workers_other_than_one_are_refused(spec):
+    with pytest.raises(ValueError, match="shards="):
+        run_study_streaming(spec, workers=2)
 
 
 def cli_env():

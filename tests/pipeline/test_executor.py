@@ -1,73 +1,76 @@
-"""Batch executor ordering, fan-out, and failure attribution."""
+"""Batch ordering and failure attribution.
 
-import threading
-import time
+``PPChecker.check_batch`` runs inline: it calls ``self.check`` on each
+bundle in turn (so a subclass's override, e.g. ``ExtendedPPChecker``,
+is what runs) and returns the outcomes in input order.  An aborted
+batch raises ``BatchItemError`` naming the failing item.
+"""
+
+from dataclasses import dataclass
 
 import pytest
 
-from repro.pipeline.executor import BatchExecutor, BatchItemError
+from repro.core.checker import PPChecker
+from repro.pipeline import BatchItemError
 
 
-def _reject_three(x):
-    if x == 3:
-        raise RuntimeError("three is right out")
-    return x
+@dataclass(frozen=True)
+class Item:
+    package: str
+    value: int
+
+
+class ScriptedChecker(PPChecker):
+    """``check`` doubles ``item.value`` and rejects 3."""
+
+    def check(self, bundle):
+        if bundle.value == 3:
+            raise RuntimeError("three is right out")
+        return bundle.value * 2
+
+
+def items(*values):
+    return [Item(f"com.example.app{value}", value) for value in values]
 
 
 class TestBatchExecutor:
     def test_serial_default(self):
-        assert BatchExecutor().map(lambda x: x * 2, [1, 2, 3]) == \
-            [2, 4, 6]
+        assert ScriptedChecker().check_batch(items(1, 2, 4)) == \
+            [2, 4, 8]
 
     def test_empty_input(self):
-        assert BatchExecutor(workers=4).map(lambda x: x, []) == []
+        assert ScriptedChecker().check_batch([]) == []
 
     def test_result_order_matches_input_order(self):
-        def slow_for_small(x):
-            time.sleep(0.02 if x < 2 else 0.0)
-            return x
+        values = [5, 0, 7, 2, 6, 1]
+        assert ScriptedChecker().check_batch(items(*values)) == \
+            [2 * value for value in values]
 
-        result = BatchExecutor(workers=4).map(slow_for_small,
-                                              list(range(8)))
-        assert result == list(range(8))
 
-    def test_actually_fans_out(self):
-        seen = set()
-        barrier = threading.Barrier(2, timeout=5)
-
-        def rendezvous(x):
-            seen.add(threading.get_ident())
-            barrier.wait()
-            return x
-
-        BatchExecutor(workers=2).map(rendezvous, [1, 2])
-        assert len(seen) == 2
-
-    def test_workers_capped_by_items(self):
-        # 100 workers over 2 items must not explode
-        assert BatchExecutor(workers=100).map(lambda x: x, [1, 2]) == \
-            [1, 2]
+def _reject_item_three(bundle, outcome):
+    if bundle.value == 3:
+        raise RuntimeError("three is right out")
 
 
 class TestFailureAttribution:
-    """A worker exception names the input item that caused it,
-    serial or threaded."""
+    """An aborted batch names the input item that caused it, whether
+    the check raised or the ``on_outcome`` hook did."""
 
-    @pytest.mark.parametrize("executor", [
-        BatchExecutor(),
-        BatchExecutor(workers=2),
-    ], ids=["serial", "thread"])
-    def test_failure_carries_index_and_item(self, executor):
+    @pytest.mark.parametrize("mode", [
+        {},
+        {"on_error": "quarantine", "on_outcome": _reject_item_three},
+    ], ids=["serial", "on_outcome"])
+    def test_failure_carries_index_and_item(self, mode):
+        batch = items(0, 1, 2, 3, 4)
         with pytest.raises(BatchItemError) as excinfo:
-            executor.map(_reject_three, [0, 1, 2, 3, 4])
+            ScriptedChecker().check_batch(batch, **mode)
         assert excinfo.value.index == 3
-        assert excinfo.value.item == 3
+        assert excinfo.value.item is batch[3]
         assert isinstance(excinfo.value.__cause__, RuntimeError)
         assert "item 3" in str(excinfo.value)
 
     def test_error_message_truncates_huge_items(self):
         huge = {"k": list(range(10_000))}
-        with pytest.raises(BatchItemError) as excinfo:
-            BatchExecutor().map(lambda _: 1 / 0, [huge])
-        assert len(str(excinfo.value)) < 500
-        assert excinfo.value.item is huge
+        error = BatchItemError(0, huge, ZeroDivisionError("boom"))
+        assert len(str(error)) < 500
+        assert error.item is huge

@@ -17,7 +17,6 @@ from repro.core.checker import AppBundle, PPChecker
 from repro.core.report import AppFailure, AppReport, partition_outcomes
 from repro.pipeline import stages
 from repro.pipeline.artifacts import MISS, SharedDiskStore, build_store
-from repro.pipeline.executor import BatchExecutor, BatchItemError
 from repro.pipeline.faults import (
     CRASH_EXIT_CODE,
     KINDS,
@@ -27,6 +26,7 @@ from repro.pipeline.faults import (
     InjectedFault,
 )
 from repro.pipeline.resilience import (
+    BatchItemError,
     RetryPolicy,
     StageError,
     StageTimeout,
@@ -330,40 +330,34 @@ class TestPipelineFaults:
         assert excinfo.value.index == 1
 
 
-# -- executor error attribution (thread / serial) -------------------------
+# -- batch error attribution ----------------------------------------------
 
 
-def _double_or_boom(x):
-    if x < 0:
-        raise ValueError(f"bad item {x}")
-    return x * 2
+class DoubleOrBoom(PPChecker):
+    """``check`` doubles an int item and rejects negative ones."""
+
+    def check(self, bundle):
+        if bundle < 0:
+            raise ValueError(f"bad item {bundle}")
+        return bundle * 2
 
 
 class TestBatchExecutorFailures:
     def test_serial_failure_names_the_item(self):
         with pytest.raises(BatchItemError) as excinfo:
-            BatchExecutor().map(_double_or_boom, [1, 2, -7, 4])
+            DoubleOrBoom().check_batch([1, 2, -7, 4])
         assert excinfo.value.index == 2
         assert excinfo.value.item == -7
         assert isinstance(excinfo.value.__cause__, ValueError)
 
-    def test_thread_failure_names_the_item(self):
-        with pytest.raises(BatchItemError) as excinfo:
-            BatchExecutor(workers=3).map(_double_or_boom,
-                                         [1, -5, 3, 4])
-        assert excinfo.value.index == 1
-        assert excinfo.value.item == -5
-
     def test_first_failing_index_wins(self):
         # both -1 and -2 fail; the earlier input index is reported
         with pytest.raises(BatchItemError) as excinfo:
-            BatchExecutor(workers=4).map(_double_or_boom,
-                                         [-1, 0, -2, 1])
+            DoubleOrBoom().check_batch([-1, 0, -2, 1])
         assert excinfo.value.index == 0
 
     def test_healthy_batches_unchanged(self):
-        assert BatchExecutor(workers=2).map(
-            _double_or_boom, [1, 2, 3]) == [2, 4, 6]
+        assert DoubleOrBoom().check_batch([1, 2, 3]) == [2, 4, 6]
 
 
 # -- disk store robustness ------------------------------------------------

@@ -4,10 +4,14 @@ The acceptance bar of the staged-pipeline refactor:
 
 - a cached (warm) run and a cold run of the same bundle produce
   identical reports,
-- a multi-worker batch equals the serial batch report-for-report,
+- checks from threads sharing one checker (as ``serve``'s worker
+  pool runs them) equal the serial batch report-for-report, and a
+  sharded study equals the inline one,
 - a warm rerun skips >= 90% of policy/static stage executions,
 - lib-policy analyses are shared across apps and checker instances.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,6 +23,14 @@ from repro.pipeline.artifacts import MemoryStore
 
 def _report_dicts(reports):
     return {pkg: report.to_dict() for pkg, report in reports.items()}
+
+
+def check_from_threads(checker, bundles, threads):
+    """``checker.check`` over *bundles* from *threads* threads that
+    share the checker, as ``serve``'s worker pool calls it; reports
+    in input order."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(checker.check, bundles))
 
 
 @pytest.fixture()
@@ -49,9 +61,9 @@ class TestDeterminism:
         serial = PPChecker(
             lib_policy_source=small_store.lib_policy
         ).check_batch(slice_bundles)
-        parallel = PPChecker(
+        parallel = check_from_threads(PPChecker(
             lib_policy_source=small_store.lib_policy
-        ).check_batch(slice_bundles, workers=2)
+        ), slice_bundles, threads=2)
         assert [r.package for r in parallel] == \
             [r.package for r in serial]
         assert [r.to_dict() for r in parallel] == \
@@ -59,7 +71,7 @@ class TestDeterminism:
 
     def test_study_serial_parallel_warm_identical(self, small_store):
         serial = run_study(small_store)
-        parallel = run_study(small_store, workers=3)
+        parallel = run_study(small_store, shards=2)
         warm_checker = PPChecker(
             lib_policy_source=small_store.lib_policy)
         run_study(small_store, checker=warm_checker)
@@ -151,7 +163,7 @@ class TestSharedArtifacts:
     def test_lib_analysis_correct_under_parallel_batch(
             self, small_store, slice_bundles):
         shared = PPChecker(lib_policy_source=small_store.lib_policy)
-        parallel = shared.check_batch(slice_bundles, workers=4)
+        parallel = check_from_threads(shared, slice_bundles, threads=4)
         solo = PPChecker(
             lib_policy_source=small_store.lib_policy
         ).check_batch(slice_bundles)
