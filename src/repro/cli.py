@@ -27,7 +27,7 @@ Subcommands::
             [--retry-budget TOKENS] [--retry-budget-refill PER_SECOND]
             [--keep-going | --no-keep-going]
             [--journal PATH] [--resume]
-            [--limit N] [--out DIR] [--out-shards N] [--shards N]
+            [--limit N] [--shards N]
         Run the full market study over the synthetic corpus and print
         the paper's tables.  Apps are derived lazily and folded into
         constant-size aggregates, so peak RSS is set by the one app
@@ -35,22 +35,19 @@ Subcommands::
         queued outcomes per shard), not by --apps.  --journal /
         --resume give the study crash-safe per-app checkpoints: a
         killed run restarted with --resume reproduces the
-        uninterrupted run's report exactly.  --out DIR also writes
-        every per-app outcome to sharded NDJSON files for later
-        merge-results; --html keeps every report in memory to render
-        the dashboard.  --shards N fans the checks out over N worker
-        processes, shard k checking the apps whose corpus index i has
+        uninterrupted run's report exactly.  The journal is the run's
+        one per-app outcome record: --resume over a complete journal
+        (same --apps/--seed/--limit) reprints the run's tables and
+        writes its --json/--html without checking an app.  --html
+        keeps every report in memory to render the dashboard.
+        --shards N fans the checks out over N worker processes,
+        shard k checking the apps whose corpus index i has
         i % N == k, each building its checker from the same flags
         (tables are byte-identical to the in-process run; with
         --cache-dir every worker shares one artifact cache); it is
         the one way to use more cores.  --limit checks only the first
         N apps of the corpus *without changing it* (unlike --apps,
         which regenerates a different corpus).
-
-    python -m repro.cli merge-results DIR [--json PATH]
-        Reconstitute the study tables from a study --out shard
-        directory, without re-running any checks (byte-identical to
-        the run's own tables).
 
     python -m repro.cli bootstrap [--top N]
         Train the pattern bootstrapping and print the top-N patterns.
@@ -273,7 +270,7 @@ def cmd_batch_check(args: argparse.Namespace) -> int:
 def _print_study_tables(result) -> None:
     """The ``== study ==`` tables of a
     :class:`~repro.core.study.StudyAggregate`.  Ties sort
-    deterministically so streaming, sharded, and merged runs print
+    deterministically so inline, sharded, and resumed runs print
     byte-identical tables."""
     print("== study summary ==")
     for key, value in result.summary().items():
@@ -334,51 +331,21 @@ def _study_meta(args: argparse.Namespace) -> dict:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    from repro.core.results import ResultShardError, ShardedResultWriter
     from repro.core.study import ReportSink, run_study_streaming
     from repro.corpus.appstore import CorpusSpec
 
     spec = CorpusSpec(seed=args.seed, n_apps=args.apps)
-    meta = _study_meta(args)
-    runlog, skip = _open_run_log(args, meta)
-    sinks = []
-    reports = None
-    if args.html:
-        reports = ReportSink()
-        sinks.append(reports)
-    writer = None
-    if args.out is not None:
-        try:
-            writer = ShardedResultWriter(args.out, meta,
-                                         shards=args.out_shards)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        sinks.append(writer)
-    try:
-        result = run_study_streaming(
-            spec, limit=args.limit, keep_going=args.keep_going,
-            skip=skip or None,
-            on_outcome=runlog.record_outcome if runlog is not None
-            else None,
-            sinks=sinks,
-            shards=args.shards,
-            shard_options=_checker_options(args),
-        )
-    except ResultShardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if writer is not None:
-            writer.abort()
-        return 2
-    except BaseException:
-        # crash path: leave only .tmp shards behind, never a torn
-        # finalized shard -- --resume rebuilds them from the journal
-        if writer is not None:
-            writer.abort()
-        raise
-    if writer is not None:
-        writer.close()
-        print(f"wrote {writer.shards} result shard(s) to {args.out}")
+    runlog, skip = _open_run_log(args, _study_meta(args))
+    reports = ReportSink() if args.html else None
+    result = run_study_streaming(
+        spec, limit=args.limit, keep_going=args.keep_going,
+        skip=skip or None,
+        on_outcome=runlog.record_outcome if runlog is not None
+        else None,
+        sinks=[reports] if reports is not None else (),
+        shards=args.shards,
+        shard_options=_checker_options(args),
+    )
 
     _print_study_tables(result)
     if result.stats is not None:
@@ -395,22 +362,6 @@ def cmd_study(args: argparse.Namespace) -> int:
     _print_deviations(result, result.n_apps)
     if runlog is not None:
         runlog.close()
-    return 0
-
-
-def cmd_merge_results(args: argparse.Namespace) -> int:
-    from repro.core.results import ResultShardError
-    from repro.core.study import merge_study_results
-
-    try:
-        result = merge_study_results(args.dir)
-    except (ResultShardError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_study_tables(result)
-    if args.json:
-        _write_study_json(result, args.json)
-    _print_deviations(result, result.n_apps)
     return 0
 
 
@@ -675,14 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write results to this JSON path")
     study.add_argument("--html", default=None,
                        help="also render an HTML dashboard here")
-    study.add_argument("--out", default=None, metavar="DIR",
-                       help="also write every per-app "
-                            "outcome to sharded NDJSON files in DIR "
-                            "(see merge-results)")
-    study.add_argument("--out-shards", type=int, default=4,
-                       metavar="N",
-                       help="result file count for --out "
-                            "(default: 4)")
     study.add_argument("--shards", type=_at_least(0), default=0,
                        metavar="N",
                        help="fan the checks out over N worker "
@@ -695,20 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_journal(study)
     study.set_defaults(func=cmd_study)
 
-    merge = sub.add_parser(
-        "merge-results",
-        help="rebuild study tables from study --out shards")
-    merge.add_argument("dir", help="shard directory written by "
-                                   "study --out")
-    merge.add_argument("--json", default=None,
-                       help="also write results to this JSON path")
-    merge.set_defaults(func=cmd_merge_results)
-
     screen = sub.add_parser("screen",
                             help="rank questionable apps by severity")
     screen.add_argument("--apps", type=_at_least(1), default=1197)
     screen.add_argument("--seed", type=int, default=2016)
-    screen.add_argument("--top", type=int, default=20)
+    screen.add_argument("--top", type=_at_least(1), default=20)
     screen.add_argument("--min-score", type=float, default=0.0)
     screen.add_argument("--csv", default=None,
                         help="also write the full worklist as CSV")
@@ -716,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bootstrap = sub.add_parser("bootstrap",
                                help="train pattern bootstrapping")
-    bootstrap.add_argument("--top", type=int, default=20)
+    bootstrap.add_argument("--top", type=_at_least(1), default=20)
     bootstrap.add_argument("--save", default=None,
                            help="persist the ranked patterns as JSON")
     bootstrap.set_defaults(func=cmd_bootstrap)
@@ -738,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(atomically, after the listener binds) -- "
                           "with --port 0 this is how supervisors and "
                           "tests find the service without a port race")
-    srv.add_argument("--shards", type=int, default=0, metavar="N",
+    srv.add_argument("--shards", type=_at_least(0), default=0,
+                     metavar="N",
                      help="run N pipeline worker *processes* behind "
                           "a lightweight accept process that routes "
                           "jobs by content hash; --workers becomes "
@@ -746,9 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "--cache-dir artifact store, and a dead "
                           "shard is respawned with its journal "
                           "replayed (default: 0 = single process)")
-    srv.add_argument("--workers", type=int, default=4,
+    srv.add_argument("--workers", type=_at_least(1), default=4,
                      help="check worker threads (default: 4)")
-    srv.add_argument("--queue-size", type=int, default=64,
+    srv.add_argument("--queue-size", type=_at_least(1), default=64,
                      help="job queue capacity; a full queue answers "
                           "429 + Retry-After (default: 64)")
     srv.add_argument("--lib-policies", default=None,

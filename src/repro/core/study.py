@@ -26,7 +26,7 @@ import resource
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator
 
 from repro.core.checker import CheckerOptions, PPChecker
 from repro.core.report import AppFailure, AppReport
@@ -301,21 +301,14 @@ class StudyResult(StudyAggregate):
 
 
 # ---------------------------------------------------------------------------
-# sinks
+# the report sink
 # ---------------------------------------------------------------------------
-
-
-class ResultSink(Protocol):
-    """Anything that wants every finished outcome, in index order
-    (e.g. :class:`repro.core.results.ShardedResultWriter`)."""
-
-    def emit(self, index: int, key: str,
-             outcome: AppReport | AppFailure) -> None: ...
 
 
 class ReportSink:
     """The in-memory sink: keeps every checked app's report, package
-    -> :class:`AppReport`, in index order."""
+    -> :class:`AppReport`, in index order.  Replayed outcomes reach it
+    too, so a resumed run renders the same ``--html`` page."""
 
     def __init__(self) -> None:
         self.reports: dict[str, AppReport] = {}
@@ -378,7 +371,7 @@ def run_study_streaming(
     skip: dict[str, AppReport | AppFailure] | None = None,
     on_outcome: Callable[[str, AppReport | AppFailure],
                          None] | None = None,
-    sinks: Iterable[ResultSink] = (),
+    sinks: Iterable[ReportSink] = (),
     shards: int = 0,
     shard_options: CheckerOptions | None = None,
 ) -> StudyAggregate:
@@ -401,14 +394,15 @@ def run_study_streaming(
     Each app's checker comes from *checker* or, when that is None
     (always with ``shards > 0``), from the *shard_options* recipe.
     For each outcome the loop fires ``on_outcome`` (fresh outcomes
-    only), folds it, and emits it to every sink, so the aggregates
-    and any sink's output (e.g. the sharded NDJSON writer) are
-    byte-identical across planes and reruns.
+    only; the CLI's journal checkpoint), folds it, and emits it to
+    every :class:`ReportSink`, so the aggregates, the sinks and the
+    journal rows are identical across planes and reruns.
 
     ``skip`` maps package -> journal-replayed outcome (folded and
     emitted to sinks, but never re-checked and never re-fired through
     ``on_outcome``), which is what makes a ``--resume`` d run
-    reproduce the uninterrupted run byte-for-byte.  With
+    reproduce the uninterrupted run byte-for-byte, and a resume of a
+    complete journal rebuild the run's tables without a check.  With
     ``keep_going`` (the default) a failing app is quarantined on
     ``failures``; ``keep_going=False`` raises
     :class:`~repro.pipeline.resilience.BatchItemError` for the first
@@ -486,51 +480,6 @@ def run_study(
         shard_options=shard_options))
 
 
-def merge_study_results(out_dir: str) -> StudyAggregate:
-    """Reconstitute the study tables from a finalized shard
-    directory (see :mod:`repro.core.results`).
-
-    Plans are re-derived lazily from the corpus identity stamped in
-    the shard headers, so the merge -- like the run that produced the
-    shards -- never materializes the corpus.  The shards must hold
-    exactly the run their meta names: indices ``0..N-1``, each once,
-    each keyed by its corpus package; anything else raises
-    :class:`~repro.core.results.ResultShardError` naming the shard.
-    """
-    from repro.core import results
-
-    meta = results.read_meta(out_dir)
-    if meta is None:
-        raise results.ResultShardError(
-            f"{out_dir}: no finalized result shards")
-    spec = CorpusSpec(seed=meta["seed"], n_apps=meta["apps"])
-    expected = meta.get("limit")
-    expected = len(spec) if expected is None else min(expected,
-                                                     len(spec))
-    paths = results.shard_paths(out_dir)
-    aggregate = StudyAggregate()
-    for position, (index, key, outcome) in enumerate(
-            results.iter_results(out_dir)):
-        # a shard holds only its own indices (iter_shard checks it)
-        where = paths[index % len(paths)]
-        if index != position or index >= expected:
-            raise results.ResultShardError(
-                f"{where}: index {index} where the run meta promises "
-                f"index {position} of {expected} -- duplicated, "
-                f"missing, or foreign record?")
-        plan = spec.plan(index)
-        if key != plan.package:
-            raise results.ResultShardError(
-                f"{where}: index {index} is keyed {key!r}, but the "
-                f"run's app {index} is {plan.package!r}")
-        aggregate.fold(plan, outcome)
-    if aggregate.n_apps != expected:
-        raise results.ResultShardError(
-            f"{out_dir}: shards hold {aggregate.n_apps} outcomes "
-            f"but the run meta promises {expected} -- partial run?")
-    return aggregate
-
-
 # ---------------------------------------------------------------------------
 # the process worker plane
 # ---------------------------------------------------------------------------
@@ -561,9 +510,8 @@ class ShardPool:
     """The study's process worker plane.
 
     *shards* spawn processes; shard ``k`` owns the corpus indices
-    ``i`` with ``i % shards == k``, the rule the ``--out`` result
-    shards use too.  The parent drains outcomes in **global index
-    order**:
+    ``i`` with ``i % shards == k``.  The parent drains outcomes in
+    **global index order**:
     every index belongs to exactly one shard and each shard emits its
     indices ascending, so the head of the owner's queue is always the
     next outcome.  Per-shard queues hold at most
@@ -665,6 +613,5 @@ class ShardPool:
 
 
 __all__ = ["RowMetrics", "StudyResult", "StudyAggregate",
-           "ResultSink", "ReportSink", "ShardPool",
-           "PAPER_RESULTS", "run_study", "run_study_streaming",
-           "merge_study_results"]
+           "ReportSink", "ShardPool",
+           "PAPER_RESULTS", "run_study", "run_study_streaming"]

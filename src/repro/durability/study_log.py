@@ -14,13 +14,15 @@ with the record vocabulary of a batch run:
   :meth:`~repro.core.report.AppReport.to_dict` /
   :meth:`~repro.core.report.AppFailure.to_dict` payload.
 
-The commit point is per app: an outcome is journaled the moment the
-app's check finishes (from whichever worker thread finished it), so a
-``kill -9`` loses at most the apps still in flight.  On resume the
-replayed outcomes are handed back to the caller, which skips those
-apps and recomputes only the rest -- the final report is byte-
-identical to an uninterrupted run because report/failure documents
-round-trip exactly and every aggregate is derived from them.
+The commit point is per app: an outcome is journaled the moment it
+reaches the batch loop, in the batch's order, so a ``kill -9`` loses
+only the apps not yet journaled.  On resume the replayed outcomes are
+handed back to the caller, which skips those apps and recomputes only
+the rest -- the final report is byte-identical to an uninterrupted
+run because report/failure documents round-trip exactly and every
+aggregate is derived from them.  For ``study`` the journal is the
+run's only per-app outcome record: resuming a complete journal
+rebuilds every table without a check.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class RecoveryInfo:
 
 
 class RunLog:
-    """One batch run's write-ahead journal (thread-safe appends)."""
+    """One batch run's write-ahead journal."""
 
     def __init__(self, journal: Journal, meta: dict[str, Any],
                  recovery: RecoveryInfo) -> None:
@@ -128,7 +130,7 @@ class RunLog:
 
     def record_outcome(self, key: str,
                        outcome: AppReport | AppFailure) -> None:
-        """Durably checkpoint one finished app (any worker thread)."""
+        """Durably checkpoint one finished app."""
         kind = QUARANTINE if isinstance(outcome, AppFailure) else REPORT
         self.journal.append(OUTCOME, {"key": key, "kind": kind,
                                       "doc": outcome.to_dict()})

@@ -259,13 +259,22 @@ class CheckService:
         return self.index.by_id(job_id)
 
     def healthz(self) -> dict:
+        """Liveness: ``draining``, else ``degraded`` while fewer
+        workers are alive than configured (a job queued then waits
+        on fewer threads, or on none), else ``ok``."""
+        alive = self.pool.alive
+        status = "ok"
+        if self.draining:
+            status = "draining"
+        elif alive < self.config.workers:
+            status = "degraded"
         return versioned({
-            "status": "draining" if self.draining else "ok",
+            "status": status,
             "version": __version__,
             "queue_depth": self.queue.depth,
             "queue_capacity": self.queue.capacity,
             "workers": self.config.workers,
-            "workers_alive": self.pool.alive,
+            "workers_alive": alive,
             "active_jobs": self.pool.active,
             "inflight_jobs": self.index.inflight,
             "completed_jobs": self.index.completed,

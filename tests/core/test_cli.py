@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.android.serialization import save_bundle
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.checker import AppBundle
 
 from tests.android.appbuilder import (
@@ -175,6 +175,32 @@ class TestUsageErrors:
     def test_exits_2_with_one_error_line(self, args, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines()
+                   if "error:" in line]
+        assert flag in line
+
+    @pytest.mark.parametrize("args,flag", [
+        (["serve", "--workers", "0"], "--workers"),
+        (["serve", "--queue-size", "0"], "--queue-size"),
+        (["serve", "--shards", "-1"], "--shards"),
+        (["screen", "--top", "-1"], "--top"),
+        (["bootstrap", "--top", "-1"], "--top"),
+        (["study", "--out", "results"], "--out"),
+        (["study", "--out-shards", "2"], "--out-shards"),
+        (["merge-results", "results"], "merge-results"),
+    ], ids=["serve-workers-zero", "serve-queue-size-zero",
+            "serve-shards-negative", "screen-top-negative",
+            "bootstrap-top-negative", "study-out", "study-out-shards",
+            "merge-results"])
+    def test_refused_while_parsing(self, args, flag, capsys):
+        """The same usage error from the parser alone, so a size or
+        command it wrongly accepted could not start a service or a
+        study here."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(args)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

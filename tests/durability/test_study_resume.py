@@ -244,11 +244,21 @@ class TestCrashResumeE2E:
         journal = str(tmp_path / "study.jsonl")
         first = run_cli([*STUDY_ARGS, "--journal", journal], env)
         assert first.returncode == 0
-        wrong = run_cli(["study", "--apps", str(N_APPS),
-                         "--seed", "1", "--journal", journal,
-                         "--resume"], env)
-        assert wrong.returncode == 2
-        assert "different run" in wrong.stderr
+        rows = replay(journal)
+        with open(journal, "rb") as handle:
+            content = handle.read()
+        for wrong_run in (["--apps", str(N_APPS), "--seed", "1"],
+                          ["--apps", str(N_APPS + 1), "--seed", "2016"]):
+            wrong = run_cli(["study", *wrong_run, "--journal", journal,
+                             "--resume"], env)
+            assert wrong.returncode == 2
+            assert wrong.stderr.splitlines() == [
+                wrong.stderr.strip()]
+            assert wrong.stderr.startswith(f"error: {journal}: ")
+            assert "different run" in wrong.stderr
+            assert replay(journal) == rows
+            with open(journal, "rb") as handle:
+                assert handle.read() == content
 
     def test_journal_without_resume_refuses_clobber(self, tmp_path):
         env = cli_env()

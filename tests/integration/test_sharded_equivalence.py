@@ -8,12 +8,13 @@ Differential proof obligations for the ``--shards N`` worker planes:
   shared sqlite artifact store (the full 1,197-app study rides in the
   slow lane),
 - the streaming study on the process plane folds the same aggregates
-  and writes the same NDJSON result shards as the in-process one,
+  and journals the same rows as the in-process one,
 - the journal hooks fire identically, so a resumed sharded run merges
   replayed outcomes exactly like a single-process one,
 - the CLI end to end: ``study --shards N`` (alone, and with
-  ``--out`` + merge-results) prints the same tables and writes the
-  same JSON as plain ``study``,
+  ``--journal`` and then ``--resume`` over the complete journal)
+  prints the same tables and writes the same JSON as plain
+  ``study``,
 - the sharded service: ``/v1/batch`` against ``serve --shards N``
   returns the same reports in the same order as the single-process
   service.
@@ -27,12 +28,10 @@ import sys
 import pytest
 
 from repro.core.checker import CheckerOptions, PPChecker
-from repro.core.study import (
-    merge_study_results,
-    run_study,
-    run_study_streaming,
-)
+from repro.core.study import run_study, run_study_streaming
 from repro.corpus.appstore import CorpusSpec
+from repro.durability.journal import replay
+from repro.durability.study_log import RunLog
 from repro.pipeline.stages import STAGES
 from tests.core.study_reference import reference_study
 
@@ -120,30 +119,34 @@ class TestShardedStudyEquivalence:
             == canonical(base.to_dict())
         assert sharded.n_apps == 48
 
-    def test_streaming_sharded_writes_identical_result_shards(
+    def test_streaming_sharded_writes_identical_journal_rows(
             self, tmp_path):
-        from repro.core.results import ShardedResultWriter
-
         spec = CorpusSpec(n_apps=64)
         meta = {"kind": "study", "seed": spec.seed,
                 "apps": spec.n_apps}
 
-        def run(out, shards):
-            with ShardedResultWriter(out, meta, shards=2) as writer:
-                return run_study_streaming(spec, sinks=[writer],
-                                           shards=shards)
+        def run(journal, shards, resume=False):
+            runlog, skip = (RunLog.resume(journal, meta) if resume
+                            else (RunLog.fresh(journal, meta), {}))
+            try:
+                return run_study_streaming(
+                    spec, skip=skip, on_outcome=runlog.record_outcome,
+                    shards=shards)
+            finally:
+                runlog.close()
 
-        inproc = run(str(tmp_path / "inproc"), shards=0)
-        sharded = run(str(tmp_path / "sharded"), shards=3)
+        def rows(journal):
+            return [(record["type"], record["payload"])
+                    for record in replay(journal)]
+
+        inproc_journal = str(tmp_path / "inproc.sqlite")
+        sharded_journal = str(tmp_path / "sharded.sqlite")
+        inproc = run(inproc_journal, shards=0)
+        sharded = run(sharded_journal, shards=3)
         assert canonical(sharded.to_dict()) \
             == canonical(inproc.to_dict())
-        names = sorted(os.listdir(str(tmp_path / "inproc")))
-        assert names == sorted(os.listdir(str(tmp_path / "sharded")))
-        for name in names:
-            with open(tmp_path / "inproc" / name, "rb") as a, \
-                    open(tmp_path / "sharded" / name, "rb") as b:
-                assert a.read() == b.read()
-        merged = merge_study_results(str(tmp_path / "sharded"))
+        assert rows(sharded_journal) == rows(inproc_journal)
+        merged = run(sharded_journal, shards=3, resume=True)
         assert canonical(merged.to_dict()) \
             == canonical(inproc.to_dict())
 
@@ -214,18 +217,18 @@ class TestShardedStudyCli:
 
     def test_cli_streaming_sharded_plus_merge(self, tmp_path,
                                               reference):
+        """The merge is ``--resume`` over the complete journal."""
         ref_json, _ = reference
         env = cli_env()
-        shards = str(tmp_path / "shards")
+        journal = str(tmp_path / "study.sqlite")
         str_json = str(tmp_path / "str.json")
         merged_json = str(tmp_path / "merged.json")
-        run = run_cli(["study", "--apps", str(self.N_APPS),
-                       "--shards", "3",
-                       "--out", shards, "--out-shards", "2",
-                       "--json", str_json], env)
+        args = ["study", "--apps", str(self.N_APPS), "--shards", "3",
+                "--journal", journal]
+        run = run_cli([*args, "--json", str_json], env)
         assert run.returncode == 0, run.stdout + run.stderr
-        merge = run_cli(["merge-results", shards,
-                         "--json", merged_json], env)
+        merge = run_cli([*args, "--resume", "--json", merged_json],
+                        env)
         assert merge.returncode == 0, merge.stdout + merge.stderr
         assert stripped(str_json) == stripped(ref_json)
         assert stripped(merged_json) == stripped(ref_json)

@@ -2,13 +2,15 @@
 
 Three proof obligations from the streaming refactor:
 
-- streaming + merge reconstitutes the tables the set-based oracle
-  (``tests/core/study_reference.py``) derives from ``run_study``'s
-  reports, byte-identically (in-process at mid scale, full 1,197-app
-  scale in the slow lane, and through the real CLI end to end),
+- streaming, and the merge of a complete journal back into the
+  tables by a resume that checks nothing, reconstitute the tables
+  the set-based oracle (``tests/core/study_reference.py``) derives
+  from ``run_study``'s reports, byte-identically (in-process at mid
+  scale, full 1,197-app scale in the slow lane, and through the real
+  CLI end to end),
 - a streaming run killed by an injected crash fault and restarted
-  with ``--resume`` reproduces the uninterrupted run's shards and
-  JSON byte-for-byte,
+  with ``--resume`` reproduces the uninterrupted run's journal rows
+  and JSON byte-for-byte,
 - peak memory is bounded by the window, not the corpus: 10k apps
   stay within a small constant factor of 1k apps (tracemalloc).
 """
@@ -21,13 +23,10 @@ import sys
 import pytest
 
 from repro.core.checker import PPChecker
-from repro.core.results import ShardedResultWriter, iter_results
-from repro.core.study import (
-    merge_study_results,
-    run_study,
-    run_study_streaming,
-)
+from repro.core.study import run_study, run_study_streaming
 from repro.corpus.appstore import CorpusSpec
+from repro.durability.journal import replay
+from repro.durability.study_log import RunLog
 from repro.pipeline.faults import CRASH_EXIT_CODE
 from tests.core.study_reference import reference_study
 
@@ -61,6 +60,43 @@ def stripped(path):
     return canonical(payload)
 
 
+def rows(journal):
+    """The journal's records as ``(type, payload)``, in ``seq``
+    order."""
+    return [(record["type"], record["payload"])
+            for record in replay(journal)]
+
+
+def journaled_study(spec, journal, **kwargs):
+    """``run_study_streaming`` checkpointing every outcome to a fresh
+    journal at *journal*, as ``study --journal`` does."""
+    meta = {"kind": "study", "seed": spec.seed, "apps": spec.n_apps}
+    runlog = RunLog.fresh(journal, meta)
+    try:
+        return run_study_streaming(
+            spec, on_outcome=runlog.record_outcome, **kwargs)
+    finally:
+        runlog.close()
+
+
+def resumed_study(spec, journal, **kwargs):
+    """``study --journal --resume`` over *journal*: its outcomes are
+    replayed and only the rest checked."""
+    meta = {"kind": "study", "seed": spec.seed, "apps": spec.n_apps}
+    runlog, skip = RunLog.resume(journal, meta)
+    try:
+        return run_study_streaming(
+            spec, skip=skip, on_outcome=runlog.record_outcome,
+            **kwargs)
+    finally:
+        runlog.close()
+
+
+def executions(aggregate):
+    return sum(row["executions"]
+               for row in aggregate.stats.to_dict().values())
+
+
 class TestStreamingEquivalence:
     def test_streaming_matches_materialized_mid_scale(self,
                                                       mid_store):
@@ -75,16 +111,16 @@ class TestStreamingEquivalence:
                                             mid_store):
         base = reference_study(mid_store, run_study(mid_store))
         spec = CorpusSpec(n_apps=len(mid_store))
-        out = str(tmp_path / "shards")
-        meta = {"kind": "study", "seed": spec.seed,
-                "apps": spec.n_apps}
-        with ShardedResultWriter(out, meta, shards=4) as writer:
-            run_study_streaming(spec, sinks=[writer])
-        merged = merge_study_results(out)
+        journal = str(tmp_path / "study.sqlite")
+        journaled_study(spec, journal)
+        merged = resumed_study(spec, journal)
         assert canonical(merged.to_dict()) \
             == canonical(base.to_dict())
-        indices = [index for index, _, _ in iter_results(out)]
-        assert indices == list(range(len(mid_store)))
+        assert executions(merged) == 0
+        keys = [payload["key"] for kind, payload in rows(journal)
+                if kind == "outcome"]
+        assert keys == [spec.package_for(index)
+                        for index in range(len(mid_store))]
 
     def test_limit_matches_run_study_limit(self, mid_store):
         base = reference_study(mid_store,
@@ -106,12 +142,9 @@ class TestStreamingEquivalence:
         base = reference_study(full_store,
                                run_study(full_store, checker=checker))
         spec = CorpusSpec()
-        out = str(tmp_path / "shards")
-        meta = {"kind": "study", "seed": spec.seed,
-                "apps": spec.n_apps}
-        with ShardedResultWriter(out, meta, shards=4) as writer:
-            aggregate = run_study_streaming(spec, sinks=[writer])
-        merged = merge_study_results(out)
+        journal = str(tmp_path / "study.sqlite")
+        aggregate = journaled_study(spec, journal)
+        merged = resumed_study(spec, journal)
         assert canonical(aggregate.to_dict()) \
             == canonical(base.to_dict())
         assert canonical(merged.to_dict()) \
@@ -133,16 +166,19 @@ class TestStreamingCli:
 
     def test_cli_streaming_plus_merge_is_byte_identical(
             self, tmp_path, reference):
+        """The merge is ``--resume`` over the run's complete journal:
+        it reprints the tables and writes the JSON without a check."""
         ref_json, ref_stdout = reference
         env = cli_env()
-        shards = str(tmp_path / "shards")
+        journal = str(tmp_path / "study.sqlite")
         str_json = str(tmp_path / "str.json")
         merged_json = str(tmp_path / "merged.json")
         run = run_cli(["study", "--apps", str(self.N_APPS),
-                       "--shards", "2",
-                       "--out", shards, "--json", str_json], env)
+                       "--shards", "2", "--journal", journal,
+                       "--json", str_json], env)
         assert run.returncode == 0, run.stdout + run.stderr
-        merge = run_cli(["merge-results", shards,
+        merge = run_cli(["study", "--apps", str(self.N_APPS),
+                         "--journal", journal, "--resume",
                          "--json", merged_json], env)
         assert merge.returncode == 0, merge.stdout + merge.stderr
         assert stripped(str_json) == stripped(ref_json)
@@ -153,9 +189,12 @@ class TestStreamingCli:
                         text.index("\n== pipeline ==")]
 
         assert tables(run.stdout) == tables(ref_stdout)
-        assert merge.stdout.startswith(tables(ref_stdout))
+        assert tables(merge.stdout) == tables(ref_stdout)
+        with open(merged_json, encoding="utf-8") as handle:
+            stats = json.load(handle)["pipeline_stats"]
+        assert all(row["executions"] == 0 for row in stats.values())
 
-    def test_crash_fault_then_resume_rebuilds_shards_exactly(
+    def test_crash_fault_then_resume_matches_uninterrupted_journal(
             self, tmp_path, reference):
         ref_json, _ = reference
         env = cli_env()
@@ -166,51 +205,42 @@ class TestStreamingCli:
             "match": spec.package_for(self.N_APPS // 2),
             "kind": "crash",
         }]}))
-        journal = str(tmp_path / "study.jsonl")
-        crashed = str(tmp_path / "crashed")
+        journal = str(tmp_path / "study.sqlite")
         out_json = str(tmp_path / "out.json")
         base = ["study", "--apps", str(self.N_APPS),
-                "--out", crashed, "--journal", journal,
-                "--json", out_json]
+                "--journal", journal, "--json", out_json]
 
         first = run_cli([*base, "--fault-plan", str(plan)], env)
         assert first.returncode == CRASH_EXIT_CODE
-        # the crash must not leave a finalized (committed) shard
-        assert not [name for name in os.listdir(crashed)
-                    if name.endswith(".ndjson")]
+        # the meta row plus the apps before the crashing one
+        assert len(rows(journal)) == 1 + self.N_APPS // 2
 
         second = run_cli([*base, "--resume"], env)
         assert second.returncode == 0, second.stdout + second.stderr
         assert "== recovery ==" in second.stdout
         assert stripped(out_json) == stripped(ref_json)
 
-        # an uninterrupted streaming run writes the very same bytes
-        clean = str(tmp_path / "clean")
+        # an uninterrupted run journals the very same rows
+        clean = str(tmp_path / "clean.sqlite")
         third = run_cli(["study", "--apps", str(self.N_APPS),
-                         "--out", clean], env)
+                         "--journal", clean], env)
         assert third.returncode == 0, third.stdout + third.stderr
-        names = sorted(os.listdir(clean))
-        assert names == sorted(os.listdir(crashed))
-        for name in names:
-            with open(os.path.join(crashed, name), "rb") as a, \
-                    open(os.path.join(clean, name), "rb") as b:
-                assert a.read() == b.read()
+        assert rows(journal) == rows(clean)
 
-    def test_out_and_html_in_one_run(self, tmp_path):
-        shards = str(tmp_path / "shards")
-        html = tmp_path / "study.html"
-        run = run_cli(["study", "--apps", "8", "--out", shards,
-                       "--html", str(html)], cli_env())
-        assert run.returncode == 0, run.stdout + run.stderr
-        assert f"wrote {html}" in run.stdout
-        assert "<html" in html.read_text(encoding="utf-8").lower()
-        merged = merge_study_results(shards)
-        assert merged.n_apps == 8
-
-    def test_merge_results_rejects_torn_directory(self, tmp_path):
-        run = run_cli(["merge-results", str(tmp_path)], cli_env())
-        assert run.returncode == 2
-        assert "no finalized" in run.stderr
+    def test_resume_renders_html(self, tmp_path):
+        journal = str(tmp_path / "study.sqlite")
+        pages = []
+        for name, extra in (("run.html", []), ("resume.html",
+                                               ["--resume"])):
+            html = tmp_path / name
+            run = run_cli(["study", "--apps", "8", "--journal", journal,
+                           "--html", str(html), *extra], cli_env())
+            assert run.returncode == 0, run.stdout + run.stderr
+            assert f"wrote {html}" in run.stdout
+            pages.append(html.read_text(encoding="utf-8"))
+        assert "<html" in pages[0].lower()
+        # replayed outcomes reach the report sink: the same page
+        assert pages[1] == pages[0]
 
 
 @pytest.mark.slow

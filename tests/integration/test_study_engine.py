@@ -6,9 +6,11 @@ same study:
 
 - the engine matrix: ``{inline, shards=2}`` x
   ``{fresh, half skipped}`` folds the same ``to_dict()`` as the
-  set-based oracle over ``run_study``'s reports, writes the
-  same ``--out`` result-shard bytes, and fires ``on_outcome`` for the
-  same packages (fresh apps only, in index order),
+  set-based oracle over ``run_study``'s reports, journals the same
+  rows, and fires ``on_outcome`` for the same packages (fresh apps
+  only, in index order),
+- a resume of a complete journal checks nothing on either plane:
+  every stage has zero executions and zero cache hits,
 - ``keep_going=False`` raises the same ``BatchItemError`` on every
   plane, naming the corpus index, package, stage and error type,
 - the shard processes build their checkers from the same recipe as
@@ -25,9 +27,10 @@ import sys
 import pytest
 
 from repro.core.checker import CheckerOptions
-from repro.core.results import ShardedResultWriter
 from repro.core.study import run_study, run_study_streaming
 from repro.corpus.appstore import CorpusSpec
+from repro.durability.journal import replay
+from repro.durability.study_log import RunLog
 from repro.pipeline import stages
 from repro.pipeline import BatchItemError
 from tests.core.study_reference import reference_study
@@ -44,12 +47,15 @@ def canonical(doc):
     return json.dumps(doc, indent=2, sort_keys=True).encode()
 
 
-def shard_bytes(out):
-    files = {}
-    for name in sorted(os.listdir(out)):
-        with open(os.path.join(out, name), "rb") as handle:
-            files[name] = handle.read()
-    return files
+def study_meta(spec):
+    return {"kind": "study", "seed": spec.seed, "apps": spec.n_apps}
+
+
+def journal_rows(journal):
+    """The journal's records as ``(type, payload)``, in ``seq``
+    order."""
+    return [(record["type"], record["payload"])
+            for record in replay(journal)]
 
 
 @pytest.fixture(scope="module")
@@ -62,22 +68,30 @@ def baseline(spec):
     return run_study(spec)
 
 
-def run_engine(spec, out, engine, skip=None):
+def run_engine(spec, journal, engine, skip=None):
+    """One study on *engine*, journaling its fresh outcomes to a new
+    journal at *journal* as ``study --journal`` does."""
     fired = []
-    meta = {"kind": "study", "seed": spec.seed, "apps": spec.n_apps}
-    with ShardedResultWriter(out, meta, shards=2) as writer:
+    runlog = RunLog.fresh(journal, study_meta(spec))
+
+    def on_outcome(package, outcome):
+        fired.append(package)
+        runlog.record_outcome(package, outcome)
+
+    try:
         aggregate = run_study_streaming(
-            spec, skip=skip, sinks=[writer],
-            on_outcome=lambda package, outcome: fired.append(package),
-            **ENGINES[engine])
-    return aggregate, shard_bytes(out), fired
+            spec, skip=skip, on_outcome=on_outcome, **ENGINES[engine])
+    finally:
+        runlog.close()
+    return aggregate, journal_rows(journal), fired
 
 
 class TestEngineMatrix:
     @pytest.fixture(scope="class")
     def reference(self, spec, tmp_path_factory):
-        return run_engine(spec, str(tmp_path_factory.mktemp("ref")),
-                          "inline")
+        return run_engine(
+            spec, str(tmp_path_factory.mktemp("ref") / "ref.sqlite"),
+            "inline")
 
     @pytest.mark.parametrize("half_skipped", [False, True],
                              ids=["fresh", "half-skipped"])
@@ -90,17 +104,41 @@ class TestEngineMatrix:
             skip = {spec.package_for(index):
                     baseline.reports[spec.package_for(index)]
                     for index in range(0, N_APPS, 2)}
-        aggregate, shards, fired = run_engine(
-            spec, str(tmp_path / "out"), engine, skip=skip)
-        ref_aggregate, ref_shards, _ = reference
+        aggregate, rows, fired = run_engine(
+            spec, str(tmp_path / "study.sqlite"), engine, skip=skip)
+        ref_aggregate, ref_rows, _ = reference
         assert canonical(aggregate.to_dict()) \
             == canonical(ref_aggregate.to_dict()) \
             == canonical(reference_study(spec, baseline).to_dict())
-        assert shards == ref_shards
+        # the same rows as the fresh inline run, less the skipped apps
+        assert rows == [row for row in ref_rows
+                        if skip is None or row[0] != "outcome"
+                        or row[1]["key"] not in skip]
         assert fired == [spec.package_for(index)
                          for index in range(N_APPS)
                          if skip is None
                          or spec.package_for(index) not in skip]
+
+
+class TestResumeOfACompleteJournal:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_checks_nothing(self, spec, baseline, tmp_path, engine):
+        journal = str(tmp_path / "study.sqlite")
+        run_engine(spec, journal, "inline")
+        before = journal_rows(journal)
+        runlog, skip = RunLog.resume(journal, study_meta(spec))
+        try:
+            aggregate = run_study_streaming(
+                spec, skip=skip, on_outcome=runlog.record_outcome,
+                **ENGINES[engine])
+        finally:
+            runlog.close()
+        assert canonical(aggregate.to_dict()) \
+            == canonical(reference_study(spec, baseline).to_dict())
+        for stage, row in aggregate.stats.to_dict().items():
+            assert row["executions"] == 0, stage
+            assert row["cache_hits"] == 0, stage
+        assert journal_rows(journal) == before
 
 
 class TestFailFast:

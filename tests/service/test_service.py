@@ -296,6 +296,23 @@ class TestBackpressureAndDrain:
                 ) in text
         assert "ppchecker_queue_depth 2" in text
 
+    def test_no_workers_by_design_reads_ok(self, stalled_handle):
+        health = ServiceClient(port=stalled_handle.port).healthz()
+        assert health["workers"] == health["workers_alive"] == 0
+        assert health["status"] == "ok"
+
+    def test_dead_workers_read_degraded(self):
+        h = start_service(ServiceConfig(port=0, workers=2))
+        try:
+            client = ServiceClient(port=h.port)
+            assert client.healthz()["status"] == "ok"
+            h.service.pool.stop(deadline=5.0)
+            health = client.healthz()
+            assert health["workers_alive"] == 0
+            assert health["status"] == "degraded"
+        finally:
+            h.close(drain=False, deadline=0.5)
+
     def test_queued_job_visible_via_status_endpoint(self,
                                                     stalled_handle):
         client = ServiceClient(port=stalled_handle.port)
