@@ -35,27 +35,6 @@ class Apk:
             )
         return self.dex
 
-    def content_digest(self) -> str:
-        """SHA-256 of the APK's canonical content (the pipeline's
-        "APK bytes"): manifest + dex, or manifest + encrypted payload
-        for a still-packed APK.  Identical APKs share a digest across
-        processes, which is what makes static-analysis artifacts
-        content-addressable."""
-        from repro.android.serialization import (  # runtime: avoids cycle
-            dex_to_dict,
-            manifest_to_dict,
-        )
-        from repro.hashing import fingerprint
-
-        doc: dict[str, object] = {
-            "manifest": manifest_to_dict(self.manifest),
-            "dex": dex_to_dict(self.dex),
-            "packed": self.packed,
-        }
-        if self.packed_payload is not None:
-            doc["payload"] = self.packed_payload.hex()
-        return fingerprint(doc)
-
 
 class PackedApkError(RuntimeError):
     """Raised when analysis is attempted on a still-packed APK."""

@@ -164,7 +164,9 @@ def _load_bundle(path: str):
     from repro.android.serialization import load_bundle
 
     try:
-        return load_bundle(path)
+        bundle = load_bundle(path)
+        bundle.key  # digests every part, so a bad one fails here
+        return bundle
     except OSError as exc:
         reason = exc.strerror or str(exc)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -203,7 +205,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_batch_check(args: argparse.Namespace) -> int:
-    from repro.android.serialization import bundle_to_dict
     from repro.core.checker import lib_policy_source
     from repro.core.report import AppFailure, partition_outcomes
     from repro.hashing import fingerprint
@@ -211,9 +212,9 @@ def cmd_batch_check(args: argparse.Namespace) -> int:
     bundles = [_load_bundle(path) for path in args.bundles]
     checker = _checker_options(args).build_checker(
         lib_policy_source(args.lib_policies))
-    # outcomes are keyed by bundle content digest, so a resumed run
-    # matches journal records to bundles regardless of path order
-    keys = [fingerprint(bundle_to_dict(bundle)) for bundle in bundles]
+    # outcomes are keyed by bundle key, so a resumed run matches
+    # journal records to bundles regardless of path order
+    keys = [bundle.key for bundle in bundles]
     runlog, skip = _open_run_log(args, {
         "kind": "batch-check",
         "bundles": fingerprint(sorted(keys)),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from repro.android.apk import Apk
@@ -25,6 +26,7 @@ from repro.android.static_analysis import StaticAnalysisResult
 from repro.core.matching import InfoMatcher
 from repro.core.report import AppFailure, AppReport
 from repro.description.autocog import AutoCog
+from repro.hashing import fingerprint, fingerprint_text
 from repro.pipeline.artifacts import (
     ArtifactStore,
     MemoryStore,
@@ -45,15 +47,38 @@ from repro.policy.analyzer import PolicyAnalyzer
 from repro.policy.model import PolicyAnalysis
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppBundle:
-    """Everything PPChecker needs to know about one app."""
+    """Everything PPChecker needs to know about one app, and its one
+    identity: each part's digest is computed once and kept (the APK's
+    from its wire form, so unpack a packed one first); :attr:`key` is
+    the job, ring and outcome key.  Frozen, so no digest goes stale."""
 
     package: str
     apk: Apk
     policy: str
     description: str
     policy_is_html: bool = False
+
+    @cached_property
+    def policy_digest(self) -> str:
+        return fingerprint_text(self.policy)
+
+    @cached_property
+    def description_digest(self) -> str:
+        return fingerprint_text(self.description)
+
+    @cached_property
+    def apk_digest(self) -> str:
+        from repro.android.serialization import apk_to_dict  # cycle
+
+        return fingerprint(apk_to_dict(self.apk))
+
+    @cached_property
+    def key(self) -> str:
+        return fingerprint([self.package, bool(self.policy_is_html),
+                            self.policy_digest, self.description_digest,
+                            self.apk_digest])
 
 
 @dataclass

@@ -416,10 +416,13 @@ def run_study_streaming(
     skip = skip or {}
     sinks = tuple(sinks)
     options = shard_options or CheckerOptions()
-    if shards > 0:
-        if checker is not None:
-            raise ValueError("shard processes build their checkers "
-                             "from shard_options; pass no checker")
+    if shards > 0 and checker is not None:
+        raise ValueError("shard processes build their checkers "
+                         "from shard_options; pass no checker")
+    # no processes for a run with nothing left to check (the resume
+    # of a complete journal): the inline source below yields nothing
+    if shards > 0 and any(spec.package_for(index) not in skip
+                          for index in range(total)):
         pool = ShardPool(spec, shards=shards, total=total, skip=skip,
                          options=options)
         source = pool.outcomes()

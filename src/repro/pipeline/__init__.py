@@ -12,12 +12,13 @@
 
 Typical use::
 
-    from repro.pipeline import Pipeline, build_store
+    from repro.core.checker import PPChecker
+    from repro.pipeline import build_store
 
-    pipeline = Pipeline(lib_policy_source=store.lib_policy,
-                        store=build_store(cache_dir=".ppcache"))
-    reports = [pipeline.check(bundle) for bundle in bundles]
-    print(pipeline.stats.to_dict())
+    checker = PPChecker(lib_policy_source=store.lib_policy,
+                        artifact_store=build_store(cache_dir=".ppcache"))
+    reports = [checker.check(bundle) for bundle in bundles]
+    print(checker.stats.to_dict())
 """
 
 from repro.pipeline.artifacts import (

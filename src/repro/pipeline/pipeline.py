@@ -7,9 +7,8 @@ app (or a changed app whose policy / APK / description stayed the
 same) never re-runs the corresponding analysis; lib-policy analyses
 are shared across *all* apps and checker instances that share a store.
 
-:class:`repro.core.checker.PPChecker` is a thin facade over this
-class; use the pipeline directly when you need a disk cache or the
-per-stage counters.
+:class:`repro.core.checker.PPChecker` is the one whole-app check over
+this class; use the pipeline directly for one stage or the counters.
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.checker import AppBundle
 
 
-#: bound on the lib-analysis digest memo (one entry per distinct lib
-#: policy and analyzer configuration)
-_LIB_DIGESTS_MAX = 4096
-
-
 @dataclass
 class Pipeline:
     """Content-addressed, stage-cached PPChecker execution."""
@@ -77,8 +71,6 @@ class Pipeline:
 
     def __post_init__(self) -> None:
         self._lib_lock = Lock()
-        #: lib stage key -> content digest of its analysis
-        self._lib_digests: dict[str, str] = {}
 
     # -- stage runner ------------------------------------------------------
 
@@ -138,7 +130,7 @@ class Pipeline:
         with self._stage_guard(stages.POLICY_ANALYSIS, bundle.package):
             digest = stages.policy_key(
                 self.policy_analyzer.fingerprint(),
-                bundle.policy, bundle.policy_is_html)
+                bundle.policy_digest, bundle.policy_is_html)
             return self._run(
                 stages.POLICY_ANALYSIS, digest,
                 lambda: self.policy_analyzer.analyze(
@@ -157,11 +149,7 @@ class Pipeline:
                 from repro.android.packer import unpack
 
                 unpack(bundle.apk)
-            digest = stages.static_key(
-                bundle.apk,
-                use_reachability=self.use_reachability,
-                use_uri_analysis=self.use_uri_analysis,
-            )
+            digest = self._static_key(bundle)
             result = self._run(
                 stages.STATIC_ANALYSIS, digest,
                 lambda: analyze_apk(
@@ -180,14 +168,24 @@ class Pipeline:
         intersection, which is app-specific and free)."""
         with self._stage_guard(stages.DESCRIPTION_PERMISSIONS,
                                bundle.package):
-            digest = stages.description_key(self.autocog.fingerprint(),
-                                            bundle.description)
+            digest = self._description_key(bundle)
             return self._run(
                 stages.DESCRIPTION_PERMISSIONS, digest,
                 lambda: self.autocog.infer_permissions(
                     bundle.description),
                 context=bundle.package,
             )
+
+    def _static_key(self, bundle: "AppBundle") -> str:
+        return stages.static_key(
+            bundle.apk_digest,
+            use_reachability=self.use_reachability,
+            use_uri_analysis=self.use_uri_analysis,
+        )
+
+    def _description_key(self, bundle: "AppBundle") -> str:
+        return stages.description_key(self.autocog.fingerprint(),
+                                      bundle.description_digest)
 
     def lib_policy_analysis(self, lib_id: str) -> PolicyAnalysis | None:
         """The analyzed policy of one third-party lib (None when the
@@ -210,18 +208,6 @@ class Pipeline:
                     context=lib_id,
                 )
 
-    def _lib_digest(self, key: str, analysis: PolicyAnalysis) -> str:
-        """:func:`stages.analysis_digest` of a lib analysis, memoized
-        on its stage key: the key hashes every input the analysis is
-        computed from, so equal keys mean equal analyses."""
-        digest = self._lib_digests.get(key)
-        if digest is None:
-            if len(self._lib_digests) >= _LIB_DIGESTS_MAX:
-                self._lib_digests.clear()
-            digest = self._lib_digests[key] = \
-                stages.analysis_digest(analysis)
-        return digest
-
     def detect(
         self,
         bundle: "AppBundle",
@@ -229,7 +215,8 @@ class Pipeline:
         static_result: StaticAnalysisResult,
         permissions: set[str],
     ) -> AppReport:
-        """The three detectors over precomputed stage artifacts."""
+        """The three detectors over this bundle's stage artifacts
+        (*policy* may be transformed: it is keyed by content)."""
         with self._stage_guard(stages.DETECT, bundle.package):
             return self._detect(bundle, policy, static_result,
                                 permissions)
@@ -242,15 +229,15 @@ class Pipeline:
         permissions: set[str],
     ) -> AppReport:
         lib_analyses: dict[str, PolicyAnalysis] = {}
-        lib_digests: dict[str, str] = {}
+        lib_keys: dict[str, str] = {}
         for spec in static_result.libraries:
             key, analysis = self._lib_policy(spec.lib_id)
+            lib_keys[spec.lib_id] = key
             if analysis is not None:
                 lib_analyses[spec.lib_id] = analysis
-                lib_digests[spec.lib_id] = self._lib_digest(key, analysis)
         digest = stages.detect_key(
-            bundle.package, policy, static_result, permissions,
-            lib_digests,
+            bundle.package, policy, self._static_key(bundle),
+            self._description_key(bundle), lib_keys,
             matcher_fingerprint=self.matcher.fingerprint(),
             honor_disclaimer=self.honor_disclaimer,
         )
@@ -277,17 +264,6 @@ class Pipeline:
 
         return self._run(stages.DETECT, digest, compute,
                          context=bundle.package)
-
-    # -- the whole-app entry point -----------------------------------------
-
-    def check(self, bundle: "AppBundle") -> AppReport:
-        """All five stages over one app (Alg. 1-5, cached)."""
-        policy = self.policy_analysis(bundle)
-        static_result = self.static_analysis(bundle)
-        # Alg. 1 considers only permissions the app actually requests
-        permissions = (self.description_permissions(bundle)
-                       & bundle.apk.manifest.permissions)
-        return self.detect(bundle, policy, static_result, permissions)
 
 
 __all__ = ["Pipeline"]

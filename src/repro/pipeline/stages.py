@@ -9,20 +9,21 @@ stage                        cache key = SHA-256 of
 ===========================  ===========================================
 ``policy_analysis``          analyzer fingerprint + html flag
                              + policy-text digest
-``static_analysis``          APK content digest + analysis flags
+``static_analysis``          APK digest + analysis flags
 ``description_permissions``  AutoCog fingerprint + description digest
 ``lib_policy_analysis``      analyzer fingerprint + lib id
                              + lib-policy-text digest (or null)
-``detect``                   package + content digests of the three
-                             upstream artifacts + sorted permissions
-                             + per-lib analysis digests + matcher
-                             fingerprint + honor_disclaimer flag
+``detect``                   package + policy-analysis digest
+                             + static and description keys
+                             + per-lib keys + matcher fingerprint
+                             + honor_disclaimer flag
 ===========================  ===========================================
 
-``detect`` hashes the upstream *artifact contents* rather than reusing
-the upstream keys, so a transformed analysis (e.g. the constraint
-adjustment of :class:`repro.core.extended.ExtendedPPChecker`) gets its
-own detect key even though the raw policy text is unchanged.
+The part digests are :class:`repro.core.checker.AppBundle`'s own.
+``detect`` reuses the upstream stage keys (``static_key`` and
+``description_key`` are memoized for it) but hashes the policy
+analysis by *content*: a subclass may transform it between its stage
+and ``detect`` (:class:`repro.core.extended.ExtendedPPChecker`).
 
 ``STAGE_CODECS`` maps each stage to the ``(encode, decode)`` pair the
 :class:`repro.pipeline.artifacts.SharedDiskStore` uses; live artifacts keep
@@ -33,15 +34,12 @@ their types, documents are plain JSON (same idiom as
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.android.static_analysis import StaticAnalysisResult
 from repro.core.report import AppReport
 from repro.hashing import fingerprint, fingerprint_text
 from repro.policy.model import PolicyAnalysis
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.android.apk import Apk
 
 POLICY_ANALYSIS = "policy_analysis"
 STATIC_ANALYSIS = "static_analysis"
@@ -61,21 +59,24 @@ STAGES = (
 # -- cache keys ----------------------------------------------------------
 
 
-def policy_key(analyzer_fingerprint: str, policy: str,
+def policy_key(analyzer_fingerprint: str, policy_digest: str,
                html: bool) -> str:
     return fingerprint([POLICY_ANALYSIS, analyzer_fingerprint,
-                        bool(html), fingerprint_text(policy)])
+                        bool(html), policy_digest])
 
 
-def static_key(apk: "Apk", *, use_reachability: bool,
+@lru_cache(maxsize=1024)
+def static_key(apk_digest: str, *, use_reachability: bool,
                use_uri_analysis: bool) -> str:
-    return fingerprint([STATIC_ANALYSIS, apk.content_digest(),
+    return fingerprint([STATIC_ANALYSIS, apk_digest,
                         bool(use_reachability), bool(use_uri_analysis)])
 
 
-def description_key(autocog_fingerprint: str, description: str) -> str:
+@lru_cache(maxsize=1024)
+def description_key(autocog_fingerprint: str,
+                    description_digest: str) -> str:
     return fingerprint([DESCRIPTION_PERMISSIONS, autocog_fingerprint,
-                        fingerprint_text(description)])
+                        description_digest])
 
 
 @lru_cache(maxsize=1024)
@@ -96,22 +97,21 @@ def analysis_digest(analysis: PolicyAnalysis) -> str:
 def detect_key(
     package: str,
     policy: PolicyAnalysis,
-    static_result: StaticAnalysisResult,
-    permissions: set[str],
-    lib_digests: dict[str, str],
+    static_key: str,
+    description_key: str,
+    lib_keys: dict[str, str],
     *,
     matcher_fingerprint: str,
     honor_disclaimer: bool,
 ) -> str:
-    """*lib_digests* maps each lib id to :func:`analysis_digest` of
-    its analysis (the caller memoizes them; libs recur across apps)."""
+    """*lib_keys* maps each lib id to its stage key."""
     return fingerprint([
         DETECT,
         package,
         analysis_digest(policy),
-        fingerprint(static_result.to_dict()),
-        sorted(permissions),
-        lib_digests,
+        static_key,
+        description_key,
+        lib_keys,
         matcher_fingerprint,
         bool(honor_disclaimer),
     ])

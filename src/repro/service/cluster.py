@@ -6,10 +6,12 @@ never runs a pipeline) and N **shard** processes, each a full
 ``ppchecker serve`` with its own GIL, worker threads, job journal,
 and dead-letter queue.  The front:
 
-- routes every submission by the content hash of its bundle document
+- routes every submission by its bundle key
+  (:attr:`~repro.core.checker.AppBundle.key`, the shard's job key)
   over the consistent-hash ring (:mod:`repro.service.hashring`), so
   identical bundles always land on the same shard and its coalescing
-  and redelivery machinery keep working unchanged;
+  and redelivery machinery keep working unchanged; a document that
+  does not decode is answered here, as a shard would answer it;
 - namespaces shard job ids (``job-3`` on shard 1 becomes ``s1-job-3``)
   so one client-visible id space spans the cluster;
 - supervises the shards: a dead shard is respawned, its journal is
@@ -45,18 +47,18 @@ from typing import Any
 from repro import __version__
 from repro.cli import serve_flags
 from repro.core.schema import versioned
-from repro.hashing import fingerprint
 from repro.pipeline.resilience import Deadline, RetryBudget
 from repro.service.hashring import HashRing, shard_name
 from repro.service.metrics import MetricsRegistry
 from repro.service.runner import ServiceConfig, shed_error
 from repro.service.server import (
+    InvalidBundle,
     Listener,
+    decode_bundle,
     read_port_file,
     serve_until_signalled,
 )
 from repro.service.transport import (
-    DEADLINE_FIELD,
     DEADLINE_HEADER,
     JOB_PATH,
     ConnectionPool,
@@ -354,17 +356,6 @@ class FrontDeadlineExpired(Exception):
         super().__init__("deadline expired at the cluster front")
 
 
-def _routing_key(doc: Any) -> str:
-    """The content fingerprint used for shard placement, blind to
-    the reserved ``deadline_s`` field -- the same bundle with a
-    different (or no) budget must land on the same shard so its
-    coalescing and artifact locality survive deadlines."""
-    if isinstance(doc, dict) and DEADLINE_FIELD in doc:
-        doc = {key: value for key, value in doc.items()
-               if key != DEADLINE_FIELD}
-    return fingerprint(doc)
-
-
 class _FrontHandler(JSONHandler):
     server_version = f"ppchecker-front/{__version__}"
 
@@ -446,6 +437,9 @@ class _FrontHandler(JSONHandler):
             shard, status, headers, payload = \
                 self.front.submit_to_shard(doc, path,
                                            deadline=deadline)
+        except InvalidBundle as exc:
+            self._send_error_json(400, "bad_request", str(exc))
+            return
         except FrontDeadlineExpired as exc:
             self._send_shed(exc.deadline)
             return
@@ -574,16 +568,16 @@ class ClusterFront:
                         deadline: Deadline | None = None,
                         ) -> tuple[ShardProcess, int,
                                    dict[str, str], Any]:
-        """Route one bundle document by content hash to its ring
+        """Route one bundle document by its bundle key to its ring
         owner and forward it.
 
-        The routing key is the canonical fingerprint of the raw JSON
-        document -- cheap (no bundle parsing in the accept process)
-        and deterministic, so identical documents always reach the
-        same shard and coalesce there.  While no shard is alive the
-        front waits (bounded by ``reroute_timeout`` and *deadline*)
-        for the supervisor to respawn one."""
-        key = _routing_key(doc)
+        The ring key is the shard's own job key, so identical
+        bundles always reach the same shard and coalesce there;
+        :class:`~repro.service.server.InvalidBundle` means the
+        document does not decode.  While no shard is alive the front
+        waits (bounded by ``reroute_timeout`` and *deadline*) for the
+        supervisor to respawn one."""
+        key = decode_bundle(doc).key
         wait_until = time.monotonic() + self.config.reroute_timeout
         while True:
             shard = self.supervisor.route(key)
@@ -649,11 +643,16 @@ class ClusterFront:
         groups: dict[int, list[int]] = {}
         unrouted: list[int] = []
         for position, bundle_doc in enumerate(bundles):
-            # deadline-blind key: per-document deadlines travel
-            # inline (the reserved ``deadline_s`` field); the shard
-            # pops them before parsing, so they never reach its
-            # fingerprints either.
-            shard = self.supervisor.route(_routing_key(bundle_doc))
+            # per-document deadlines travel inline (the reserved
+            # ``deadline_s`` field), which decoding ignores
+            try:
+                key = decode_bundle(bundle_doc).key
+            except InvalidBundle as exc:
+                slots[position] = {"status": "invalid", "error": {
+                    "kind": "bad_request", "message": str(exc),
+                }}
+                continue
+            shard = self.supervisor.route(key)
             if shard is None:
                 unrouted.append(position)
                 continue

@@ -1,11 +1,11 @@
-"""Request coalescing: one execution per content hash.
+"""Request coalescing: one execution per bundle key.
 
 Identical bundles submitted concurrently must run the pipeline once.
 The artifact store already dedupes *sequential* re-checks per stage,
 but two concurrent submissions of the same bundle would both miss the
 cold cache and compute everything twice.  :class:`JobIndex` closes
 that race at the job layer: submissions are keyed by the bundle's
-content hash, and a submission whose key matches an in-flight or
+key, and a submission whose key matches an in-flight or
 recently completed job attaches to that job instead of enqueuing a
 new one -- every attached waiter gets the same report.
 

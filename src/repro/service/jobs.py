@@ -1,8 +1,8 @@
 """Jobs and the bounded queue feeding the service's worker pool.
 
 A :class:`Job` is one unit of check work: an app bundle addressed by
-the content hash of its canonical JSON document (the same
-:func:`repro.hashing.fingerprint` the pipeline keys its stages with).
+its bundle key (:attr:`repro.core.checker.AppBundle.key`, from the
+same part digests the pipeline keys its stages with).
 Jobs move ``queued -> running -> completed | quarantined``; any number
 of HTTP requests may wait on one job (see
 :mod:`repro.service.coalescing`).

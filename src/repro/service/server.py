@@ -15,7 +15,8 @@ bounded job queue and a small REST API:
 ``GET /metrics``       Prometheus text exposition
 =====================  ==================================================
 
-Identical bundles coalesce onto one job by content hash; a full queue
+Identical bundles coalesce onto one job by bundle key
+(:attr:`~repro.core.checker.AppBundle.key`); a full queue
 returns ``429`` with ``Retry-After``; a draining service (SIGTERM)
 returns ``503`` for new work while queued jobs finish.  Everything is
 stdlib (:mod:`http.server`), no new dependencies.
@@ -34,7 +35,6 @@ from repro import __version__
 from repro.android.serialization import bundle_from_dict, bundle_to_dict
 from repro.core.schema import versioned
 from repro.durability.service_log import ServiceLog, deadletter_doc
-from repro.hashing import fingerprint
 from repro.pipeline.resilience import Deadline
 from repro.service import jobs as jobstates
 from repro.service.coalescing import JobIndex
@@ -57,9 +57,24 @@ from repro.service.transport import (
 if TYPE_CHECKING:
     import subprocess
 
+    from repro.core.checker import AppBundle
+
 
 class InvalidBundle(ValueError):
     """The request body is JSON but not a valid bundle document."""
+
+
+def decode_bundle(doc: Any) -> "AppBundle":
+    """The bundle of one request document, keyed: the one intake on a
+    shard and at the cluster front.  Unknown fields (``deadline_s``
+    among them) are ignored; raises :class:`InvalidBundle`."""
+    try:
+        bundle = bundle_from_dict(doc)
+        bundle.key  # digests every part, so a bad one fails here
+    except Exception as exc:
+        raise InvalidBundle(f"invalid bundle document: {exc}") \
+            from exc
+    return bundle
 
 
 class DeadlineExpired(RuntimeError):
@@ -214,14 +229,7 @@ class CheckService:
         if self.draining:
             self.metrics.rejected.inc(reason="draining")
             raise ServiceDraining("service is draining")
-        try:
-            bundle = bundle_from_dict(doc)
-            # re-serialize to canonical form so key order, defaulted
-            # fields, and equivalent documents share one content hash
-            key = fingerprint(bundle_to_dict(bundle))
-        except Exception as exc:
-            raise InvalidBundle(f"invalid bundle document: {exc}") \
-                from exc
+        bundle = decode_bundle(doc)
         if deadline is not None and deadline.expired:
             self.metrics.rejected.inc(reason="deadline_expired")
             self.metrics.deadline_shed.inc()
@@ -241,7 +249,7 @@ class CheckService:
 
         try:
             job, coalesced = self.index.submit(
-                key,
+                bundle.key,
                 lambda job_id, k: Job(job_id, k, bundle,
                                       deadline=deadline),
                 enqueue,
@@ -655,6 +663,7 @@ __all__ = [
     "InvalidBundle",
     "Listener",
     "ServiceHandle",
+    "decode_bundle",
     "read_port_file",
     "start_service",
     "serve",

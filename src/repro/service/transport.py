@@ -58,9 +58,9 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: request-level deadline intake: relative seconds, as an HTTP header
 #: or a reserved top-level key in the bundle document.  The field is
-#: stripped before parsing/fingerprinting, so the same bundle with
-#: different deadlines still shares one content hash (coalescing and
-#: cluster routing stay deadline-blind).
+#: stripped before decoding, so the same bundle with different
+#: deadlines still shares one bundle key (coalescing and cluster
+#: routing stay deadline-blind).
 DEADLINE_HEADER = "X-Ppchecker-Deadline"
 DEADLINE_FIELD = "deadline_s"
 
@@ -316,8 +316,8 @@ class JSONHandler(BaseHTTPRequestHandler):
 
     def request_deadline(self, doc: Any) -> float | None:
         """The request's relative deadline in seconds, from the
-        reserved ``deadline_s`` document field (popped -- it must
-        never reach the fingerprint) or the ``X-Ppchecker-Deadline``
+        reserved ``deadline_s`` document field (popped -- it is not
+        part of the bundle) or the ``X-Ppchecker-Deadline``
         header; the field wins when both are present.  Raises
         :class:`InvalidDeadline` on garbage."""
         value: Any = None

@@ -154,6 +154,24 @@ class TestBadBundleFile:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"error: {path}: {reason}")
 
+    @pytest.mark.parametrize("command", ["check", "batch-check"])
+    def test_part_that_does_not_digest(self, command, clean_bundle_path,
+                                       tmp_path, capsys):
+        """A null policy decodes but has no digest, so the file has
+        no bundle key: it is refused like any non-bundle document."""
+        doc = json.loads(open(clean_bundle_path).read())
+        doc["policy"] = None
+        path = tmp_path / "null-policy.json"
+        path.write_text(json.dumps(doc))
+        args = [command, str(path)]
+        if command == "batch-check":
+            args.insert(1, clean_bundle_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: not a bundle document")
+
 
 class TestUsageErrors:
     """A bad size, or a flag that no longer exists, is argparse's

@@ -13,6 +13,7 @@ from tests.android.appbuilder import (
     invoke,
 )
 from repro.core.checker import AppBundle, PPChecker
+from repro.pipeline.artifacts import MemoryStore
 
 
 def _lib_policies(lib_id):
@@ -66,6 +67,24 @@ class TestConstraintIntegration:
     def test_constraints_can_be_disabled(self):
         checker = ExtendedPPChecker(use_constraints=False)
         assert checker.check(self._bundle()).is_incorrect
+
+    @pytest.mark.parametrize("constrained_first", [True, False])
+    def test_adjusted_analysis_gets_its_own_detect_entry(
+            self, constrained_first):
+        """Both checkers share the policy stage (same text, same
+        analyzer) but not the detect entry: the constraint adjustment
+        happens between the two, so detect keys the analysis by
+        content, not by the policy stage key."""
+        store = MemoryStore()
+        constrained = ExtendedPPChecker(artifact_store=store)
+        plain = ExtendedPPChecker(use_constraints=False,
+                                  artifact_store=store)
+        order = ([constrained, plain] if constrained_first
+                 else [plain, constrained])
+        reports = {id(checker): checker.check(self._bundle())
+                   for checker in order}
+        assert not reports[id(constrained)].is_incorrect
+        assert reports[id(plain)].is_incorrect
 
 
 class TestDynamicVerification:

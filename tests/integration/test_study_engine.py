@@ -10,7 +10,8 @@ same study:
   rows, and fires ``on_outcome`` for the same packages (fresh apps
   only, in index order),
 - a resume of a complete journal checks nothing on either plane:
-  every stage has zero executions and zero cache hits,
+  every stage has zero executions and zero cache hits, and
+  ``shards=2`` starts no process,
 - ``keep_going=False`` raises the same ``BatchItemError`` on every
   plane, naming the corpus index, package, stage and error type,
 - the shard processes build their checkers from the same recipe as
@@ -26,6 +27,7 @@ import sys
 
 import pytest
 
+from repro.core import study
 from repro.core.checker import CheckerOptions
 from repro.core.study import run_study, run_study_streaming
 from repro.corpus.appstore import CorpusSpec
@@ -122,10 +124,16 @@ class TestEngineMatrix:
 
 class TestResumeOfACompleteJournal:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_checks_nothing(self, spec, baseline, tmp_path, engine):
+    def test_checks_nothing(self, spec, baseline, tmp_path, engine,
+                            monkeypatch):
         journal = str(tmp_path / "study.sqlite")
         run_engine(spec, journal, "inline")
         before = journal_rows(journal)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("shard processes with no app to check")
+
+        monkeypatch.setattr(study, "ShardPool", no_pool)
         runlog, skip = RunLog.resume(journal, study_meta(spec))
         try:
             aggregate = run_study_streaming(

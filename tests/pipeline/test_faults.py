@@ -10,6 +10,7 @@ and no batch-wide aborts.
 
 import json
 import sqlite3
+from dataclasses import replace
 
 import pytest
 
@@ -432,17 +433,17 @@ class TestMalformedInputs:
         return outcomes[0]
 
     def test_missing_policy_quarantines_at_policy_analysis(self):
-        bundle = make_bundle()
-        bundle.policy = None          # scrape came back empty-handed
+        # scrape came back empty-handed
+        bundle = replace(make_bundle(), policy=None)
         failure = self.quarantine_one(make_checker(), bundle)
         assert isinstance(failure, AppFailure)
         assert failure.stage == stages.POLICY_ANALYSIS
         assert failure.error == "AttributeError"
 
     def test_garbage_bytes_policy_quarantines_not_crashes(self):
-        bundle = make_bundle()
-        bundle.policy = b"\x00\xffnot text"    # bytes, not str
-        bundle.policy_is_html = True
+        bundle = replace(make_bundle(),
+                         policy=b"\x00\xffnot text",    # bytes, not str
+                         policy_is_html=True)
         failure = self.quarantine_one(make_checker(), bundle)
         assert isinstance(failure, AppFailure)
         assert failure.stage == stages.POLICY_ANALYSIS

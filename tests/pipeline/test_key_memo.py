@@ -1,21 +1,25 @@
-"""Constant cache-key parts are computed once, and only once per input.
+"""Cache-key parts are computed once, and only once per input.
 
 The configuration fingerprints (analyzer, AutoCog, matcher, ESA
-model), the lib-policy keys and the lib-analysis digests inside the
-``detect`` key do not change from app to app.  They are memoized on
-their exact inputs: a check whose stages all hit computes only the
-per-app digests, and a changed configuration gets a new key with the
-same recipe as before.
+model) and the lib-policy keys do not change from app to app; they
+are memoized on their exact inputs.  Each bundle part (policy text,
+description, APK) is digested once per bundle, on every plane: an
+in-process check, a served ``/v1/check`` and the cluster front.  A
+check whose stages all hit computes only the per-app digests, and a
+changed configuration gets a new key with the same recipe as before.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from repro.android import serialization
+from repro.android.serialization import bundle_to_dict
 from repro.core.checker import PPChecker
 from repro.core.matching import InfoMatcher
 from repro.corpus.appstore import CorpusSpec
@@ -27,17 +31,26 @@ from repro.pipeline.pipeline import Pipeline
 from repro.policy.analyzer import PolicyAnalyzer
 from repro.policy.model import PolicyAnalysis
 from repro.policy.patterns import SEED_PATTERNS
+from repro.service import ServiceClient, ServiceConfig, start_service
+from repro.service.cluster import ClusterConfig, start_cluster
+
+from tests.service.test_cluster import wait_cluster_up
 
 
 @pytest.fixture
 def hash_calls(monkeypatch):
     """Counts of ``fingerprint`` / ``fingerprint_text`` calls, through
-    every module that imported them."""
-    calls = {"fingerprint": 0, "fingerprint_text": 0}
+    every module that imported them, and of ``dex_to_dict`` (the
+    APK's canonical serialization); ``texts`` counts the digests of
+    each text."""
+    calls = Counter(fingerprint=0, fingerprint_text=0, dex_to_dict=0)
+    calls["texts"] = Counter()
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "fingerprint_text":
+                calls["texts"][args[0]] += 1
             return real(*args, **kwargs)
         return wrapper
 
@@ -48,7 +61,26 @@ def hash_calls(monkeypatch):
             if (getattr(module, "__name__", "").startswith("repro")
                     and getattr(module, name, None) is real):
                 monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(serialization, "dex_to_dict",
+                        counting("dex_to_dict",
+                                 serialization.dex_to_dict))
     return calls
+
+
+def reset(hash_calls) -> None:
+    for name in ("fingerprint", "fingerprint_text", "dex_to_dict"):
+        hash_calls[name] = 0
+    hash_calls["texts"].clear()
+
+
+def part_digests(hash_calls, bundle) -> dict[str, int]:
+    """How often each part of *bundle* was digested."""
+    return {"policy": hash_calls["texts"][bundle.policy],
+            "description": hash_calls["texts"][bundle.description],
+            "apk": hash_calls["dex_to_dict"]}
+
+
+ONCE = {"policy": 1, "description": 1, "apk": 1}
 
 
 def test_all_hit_check_hashes_only_per_app_inputs(hash_calls):
@@ -58,16 +90,64 @@ def test_all_hit_check_hashes_only_per_app_inputs(hash_calls):
     libs = checker.analyze_code(bundle).libraries
     assert len([lib for lib in libs if spec.lib_policy(lib.lib_id)]) == 2
     first = checker.check(bundle)
-    hash_calls.update(fingerprint=0, fingerprint_text=0)
+    reset(hash_calls)
     before = checker.stats.snapshot()
-    assert checker.check(bundle) == first
+    # an equal bundle, so its part digests are computed afresh
+    assert checker.check(replace(bundle)) == first
     after = checker.stats.snapshot()
     for stage in stages.STAGES:
         assert after[stage]["executions"] == before[stage]["executions"]
-    # fingerprint: policy key, static key + APK digest, description
-    # key, detect key + policy and static digests; fingerprint_text:
-    # the policy and description texts.  The libs add nothing.
-    assert hash_calls == {"fingerprint": 7, "fingerprint_text": 2}
+    # fingerprint: the APK digest, the policy key, the detect key and
+    # the policy-analysis digest in it (the static and description
+    # keys are memoized on the part digests); fingerprint_text: the
+    # policy and description texts.  The libs add nothing.
+    assert hash_calls["fingerprint"] == 4
+    assert hash_calls["fingerprint_text"] == 2
+    assert part_digests(hash_calls, bundle) == ONCE
+
+
+def test_fresh_check_digests_each_part_once(hash_calls):
+    spec = CorpusSpec(n_apps=64)
+    checker = PPChecker(lib_policy_source=spec.lib_policy)
+    bundle = spec.app(3).bundle
+    checker.check(bundle)
+    assert part_digests(hash_calls, bundle) == ONCE
+
+
+def test_served_check_digests_each_part_once(hash_calls):
+    """Submit (the job key) and pipeline (the stage keys) share one
+    set of digests: the job carries the decoded bundle."""
+    bundle = CorpusSpec(n_apps=64).app(3).bundle
+    doc = bundle_to_dict(bundle)
+    handle = start_service(ServiceConfig(port=0, workers=1))
+    try:
+        client = ServiceClient(port=handle.port, timeout=60.0)
+        reset(hash_calls)
+        assert client.check(doc)["package"] == bundle.package
+        client.close()
+    finally:
+        handle.close()
+    assert part_digests(hash_calls, bundle) == ONCE
+
+
+def test_cluster_front_digests_each_part_once(hash_calls, tmp_path):
+    """The front decodes and keys each document once (its shards,
+    separate processes, key it again on their side)."""
+    bundle = CorpusSpec(n_apps=64).app(3).bundle
+    doc = bundle_to_dict(bundle)
+    handle = start_cluster(ClusterConfig(
+        service=ServiceConfig(port=0, workers=1,
+                              state_dir=str(tmp_path / "state")),
+        shards=2))
+    try:
+        client = ServiceClient(port=handle.port, timeout=60.0)
+        wait_cluster_up(client, shards=2)
+        reset(hash_calls)
+        assert client.check(doc)["package"] == bundle.package
+        client.close()
+    finally:
+        handle.close()
+    assert part_digests(hash_calls, bundle) == ONCE
 
 
 def test_changed_configuration_gets_a_new_key():

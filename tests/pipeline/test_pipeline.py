@@ -15,9 +15,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.android.serialization import bundle_from_dict, bundle_to_dict
 from repro.core.checker import PPChecker
 from repro.core.study import run_study
-from repro.pipeline import Pipeline, build_store
+from repro.corpus.appstore import CorpusSpec
+from repro.pipeline import build_store
 from repro.pipeline.artifacts import MemoryStore
 
 
@@ -191,20 +193,28 @@ class TestSharedArtifacts:
             assert stats[stage]["cache_hits"] == 1, stage
 
 
+def test_packed_app_and_its_wire_copy_share_every_stage():
+    """The check unpacks a packed app before keying it, so the
+    round-tripped (never packed) copy is the same APK: one static
+    analysis, one detect, equal reports."""
+    spec = CorpusSpec(n_apps=200)
+    bundle = spec.app(7).bundle
+    assert bundle.apk.packed
+    checker = PPChecker(lib_policy_source=spec.lib_policy)
+    report = checker.check(bundle)
+    copy = bundle_from_dict(bundle_to_dict(bundle))
+    assert checker.check(copy).to_dict() == report.to_dict()
+    stats = checker.stats.snapshot()
+    assert stats["static_analysis"]["executions"] == 1
+    assert stats["detect"]["executions"] == 1
+
+
 class TestFacade:
     def test_checker_without_store_gets_private_memory(self,
                                                        small_store):
         a = PPChecker(lib_policy_source=small_store.lib_policy)
         b = PPChecker(lib_policy_source=small_store.lib_policy)
         assert a.pipeline.store is not b.pipeline.store
-
-    def test_pipeline_direct_use_matches_facade(self, small_store):
-        bundle = small_store.apps[1].bundle
-        pipeline = Pipeline(lib_policy_source=small_store.lib_policy)
-        direct = pipeline.check(bundle)
-        facade = PPChecker(
-            lib_policy_source=small_store.lib_policy).check(bundle)
-        assert direct.to_dict() == facade.to_dict()
 
     def test_extended_checker_still_overrides_through_facade(self):
         from repro.core.extended import make_extended_checker

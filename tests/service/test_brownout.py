@@ -26,10 +26,10 @@ import pytest
 
 from repro.android.serialization import bundle_from_dict
 from repro.core.checker import CheckerOptions, PPChecker
-from repro.hashing import fingerprint
 from repro.service import ServiceClient, ServiceConfig
 from repro.service.cluster import ClusterConfig, start_cluster
 from repro.service.hashring import ring_for, shard_name
+from repro.service.server import decode_bundle
 
 from tests.service.test_cluster import wait_cluster_up
 from tests.service.test_service import make_doc
@@ -50,16 +50,17 @@ def make_brown_doc(prefix: str, index: int) -> dict:
 
 def docs_routed_to(prefix: str, shard_index: int, count: int,
                    ) -> list[dict]:
-    """*count* bundle documents whose routing key lands on
+    """*count* bundle documents whose bundle key lands on
     ``shard-<shard_index>`` -- the exact placement the front will
-    compute, since both sides hash with the deterministic ring."""
+    compute: the same decode-and-key function, the same
+    deterministic ring."""
     ring = ring_for(SHARDS)
     target = shard_name(shard_index)
     found: list[dict] = []
     index = 0
     while len(found) < count:
         doc = make_brown_doc(prefix, index)
-        if ring.place(fingerprint(doc)) == target:
+        if ring.place(decode_bundle(doc).key) == target:
             found.append(doc)
         index += 1
         assert index < 10_000, "ring never produced a match"

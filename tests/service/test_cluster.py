@@ -2,7 +2,7 @@
 
 Three layers:
 
-- **basics** -- routing by content hash, cluster-wide job ids
+- **basics** -- routing by bundle key, cluster-wide job ids
   (``s<shard>-job-<n>``), aggregated healthz/deadletter, front
   metrics;
 - **chaos** -- SIGKILL one shard mid-batch: healthz stays green
@@ -23,9 +23,13 @@ import time
 
 import pytest
 
+from repro.android.serialization import bundle_to_dict
 from repro.core.checker import CheckerOptions
+from repro.corpus.appstore import CorpusSpec
+from repro.hashing import fingerprint
 from repro.service import ServiceClient, ServiceConfig
 from repro.service.cluster import ClusterConfig, start_cluster
+from repro.service.hashring import ring_for
 
 from tests.service.test_service import make_doc
 
@@ -43,6 +47,13 @@ def wait_cluster_up(client: ServiceClient, shards: int,
         if time.monotonic() > end:
             raise TimeoutError("cluster never became healthy")
         time.sleep(0.2)
+
+
+def routed_total(client: ServiceClient) -> float:
+    """``ppchecker_routed_total`` summed over the shards."""
+    return sum(float(line.split()[-1])
+               for line in client.metrics_text().splitlines()
+               if line.startswith("ppchecker_routed_total{"))
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +113,61 @@ class TestClusterBasics:
         # same content hash -> same shard -> same job
         assert second["id"] == first["id"]
         assert second["coalesced"]
+
+    def test_copy_with_an_unknown_field_coalesces_on_one_shard(
+            self, client):
+        """Decoding ignores fields it does not know, so the copy has
+        the original's bundle key: the same shard, the same job.  The
+        document is one whose raw-document hash would have split the
+        two across the shards."""
+        ring = ring_for(2)
+        spec = CorpusSpec(n_apps=64)
+        for index in range(len(spec)):
+            bundle = spec.app(index).bundle
+            if bundle.apk.packed:
+                continue
+            doc = bundle_to_dict(bundle)
+            copy = dict(doc, annotation="not a bundle field")
+            if ring.place(fingerprint(doc)) != ring.place(fingerprint(copy)):
+                break
+        else:
+            pytest.fail("no corpus document splits on its raw hash")
+        first = client.submit(doc)
+        second = client.submit(copy)
+        assert second["id"] == first["id"]
+        assert second["coalesced"]
+        final = client.wait(first["id"], timeout=60)
+        assert final["state"] == "completed"
+        assert final["report"]["package"] == bundle.package
+
+    def test_undecodable_document_is_answered_by_the_front(self, client):
+        """The front decodes to route, so it answers a document that
+        does not decode itself -- exactly as a shard would -- and
+        routes nothing."""
+        shard = ServiceClient(
+            port=client.healthz()["shard_detail"][0]["port"],
+            timeout=60.0)
+        routed = routed_total(client)
+        front_answer = client.request("POST", "/v1/check",
+                                      {"version": 1})
+        shard_answer = shard.request("POST", "/v1/check",
+                                     {"version": 1})
+        assert front_answer[0] == shard_answer[0] == 400
+        assert front_answer[2] == shard_answer[2]
+        assert front_answer[2]["error"]["kind"] == "bad_request"
+
+        batch = {"bundles": [make_doc(package="com.example.decodes"),
+                             {"version": 1}]}
+        status, _, payload = client.request("POST", "/v1/batch", batch)
+        assert status == 200
+        ok, invalid = payload["results"]
+        assert ok["status"] == "ok"
+        assert invalid == {"status": "invalid", "error": {
+            "kind": "bad_request",
+            "message": shard_answer[2]["error"]["message"]}}
+        shard.close()
+        # only the decodable batch document was routed
+        assert routed_total(client) == routed + 1
 
     def test_batch_spreads_over_shards(self, client):
         docs = [make_doc(package=f"com.example.spread{i}")

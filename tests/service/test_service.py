@@ -143,6 +143,14 @@ class TestHTTPBasics:
         assert status == 400
         assert payload["error"]["kind"] == "bad_request"
 
+    def test_part_without_a_digest_400(self, client):
+        """A null policy decodes but has no digest, so the document
+        has no bundle key: it is refused, not queued."""
+        status, _, payload = client.request("POST", "/v1/check",
+                                            make_doc(policy=None))
+        assert status == 400
+        assert payload["error"]["kind"] == "bad_request"
+
     def test_requests_counted_in_metrics(self, client):
         client.healthz()
         text = client.metrics_text()
